@@ -4,8 +4,8 @@ Solutions of x1^2 + x2^2 + x3^2 = 3 x1 x2 x3 over F_p, the rotation moves
 that connect them, explicit paths from (1,1,1) to any nonzero solution, and
 integer lifts with size bounds.  Submodules:
 
-  field   arithmetic mod p: primality, square roots, orders, F_{p^2}
-  core    the surface, rotations, Lucas stepping, order classification
+  field   arithmetic mod p: primality, square roots, factorization
+  core    the surface, rotations, Lucas stepping and orders, classification
   words   reduced rotation words
   graph   the full mod-p graph: BFS, components, eigenvalue estimates
   paths   constructive routing from the seed into and around the cage
@@ -15,9 +15,9 @@ integer lifts with size bounds.  Submodules:
 
 from .core import (Classifier, CoordClass, check_point, fibonacci,
                    fibonacci_form, is_maximal, lucas_pair, maximal_index,
-                   on_surface, point_order, rot, rot_inv, rot_signed,
-                   rotation_order, rotation_power, vieta)
-from .errors import CapExceeded, ConstructionError, DisconnectedGraph, DomainError
+                   on_surface, point_order, rot, rot_inv, rotation_order,
+                   rotation_power, vieta)
+from .errors import CapExceeded, ConstructionError, DomainError
 from .graph import SurfaceGraph, connectivity_check, spectral_gap
 from .lifts import (LiftTriple, bound_report, construction_exponent,
                     expander_alpha_ln, growth_bound_ln, minimal_lift_search,
@@ -29,12 +29,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CagePath", "CapExceeded", "Classifier", "ConstructionError", "CoordClass",
-    "DisconnectedGraph", "DomainError", "LiftTriple", "PathWord", "SurfaceGraph",
-    "bound_report", "cage_route", "check_point", "connectivity_check",
-    "construct_path", "construction_exponent", "expander_alpha_ln", "fibonacci",
-    "fibonacci_form", "growth_bound_ln", "is_maximal", "lucas_pair",
-    "maximal_index", "minimal_lift_search", "on_surface", "parabolic_exponent",
-    "point_order", "replay_integer", "rot", "rot_inv", "rot_signed",
-    "rotation_order", "rotation_power", "scan_to_cage", "seed_table",
-    "spectral_gap", "vieta", "__version__",
+    "DomainError", "LiftTriple", "PathWord", "SurfaceGraph", "bound_report",
+    "cage_route", "check_point", "connectivity_check", "construct_path",
+    "construction_exponent", "expander_alpha_ln", "fibonacci", "fibonacci_form",
+    "growth_bound_ln", "is_maximal", "lucas_pair", "maximal_index",
+    "minimal_lift_search", "on_surface", "parabolic_exponent", "point_order",
+    "replay_integer", "rot", "rot_inv", "rotation_order", "rotation_power",
+    "scan_to_cage", "seed_table", "spectral_gap", "vieta", "__version__",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import field, lifts
 from .core import Classifier, check_point, is_maximal
-from .errors import CapExceeded, ConstructionError, DisconnectedGraph, DomainError
+from .errors import CapExceeded, ConstructionError, DomainError
 from .graph import (DEFAULT_ENUM_CAP, DEFAULT_SPECTRAL_CAP, SurfaceGraph,
                     connectivity_check, shortest_path, spectral_gap, to_dot,
                     vertex_csv)
@@ -323,9 +323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConstructionError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except DisconnectedGraph as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -17,11 +17,15 @@ in O(log n) by fast doubling.
 
 A coordinate value x is classified by the discriminant (3x)^2 - 4 of the
 matrix's characteristic polynomial: zero means parabolic (x = +-2/3, orbit
-length p or 2p), a nonzero square means hyperbolic (the eigenvalue lives in
-F_p and its order divides p - 1), a non-square means elliptic (the eigenvalue
-lives in F_{p^2} with norm 1, order dividing p + 1).  A coordinate is
-*maximal* when that order is as large as its class allows (p - 1, p + 1, or
-2p); the cage is the set of points with a maximal coordinate.
+length p or 2p), a nonzero square means hyperbolic (the eigenvalues live in
+F_p and the order divides p - 1), a non-square means elliptic (the
+eigenvalues live in F_{p^2} with norm 1, order dividing p + 1).  A coordinate
+is *maximal* when that order is as large as its class allows (p - 1, p + 1,
+or 2p); the cage is the set of points with a maximal coordinate.
+
+Orders come from the Lucas sequence as well: M^k = [[-u_{k-1}, u_k],
+[-u_k, u_{k+1}]], so M^k = I exactly when (u_k, u_{k+1}) = (0, 1).  The
+classifier starts from p -+ 1 and strips prime factors while that holds.
 """
 
 from __future__ import annotations
@@ -92,10 +96,6 @@ def rot_inv(x: Triple, i: int, p: int) -> Triple:
     if i == 3:
         return ((3 * x1 * x3 - x2) % p, x1, x3)
     raise ValueError(f"rotation axis must be 1, 2 or 3, got {i}")
-
-
-def rot_signed(x: Triple, i: int, sign: int, p: int) -> Triple:
-    return rot(x, i, p) if sign > 0 else rot_inv(x, i, p)
 
 
 def lucas_pair(P: int, n: int, p: int) -> Tuple[int, int]:
@@ -172,21 +172,24 @@ class Classifier:
             order = p if x == self.two_thirds else 2 * p
             cc = CoordClass(PARABOLIC, order, order == 2 * p, disc)
         elif ls == 1:
-            r = field.sqrt_mod(disc, p)
-            inv2 = (p + 1) // 2
-            eps = (3 * x + r) * inv2 % p
-            order = field.mult_order(eps, p, self.fact_pm1)
+            order = self._matrix_order(3 * x % p, p - 1, self.fact_pm1)
             cc = CoordClass(HYPERBOLIC, order, order == p - 1, disc)
         else:
-            inv2 = (p + 1) // 2
-            eps = field.Fp2(3 * x * inv2 % p, inv2, disc, p)
-            order = field.fp2_mult_order(eps, p + 1, self.fact_pp1)
+            order = self._matrix_order(3 * x % p, p + 1, self.fact_pp1)
             cc = CoordClass(ELLIPTIC, order, order == p + 1, disc)
         self._memo[x] = cc
         return cc
 
-    def order_of(self, x: int) -> int:
-        return self.classify(x).order
+    def _matrix_order(self, P: int, n: int, fact_n: Dict[int, int]) -> int:
+        """Order of [[0, 1], [-1, P]], a divisor of n; M^k = I iff (u_k, u_{k+1}) = (0, 1)."""
+        p = self.p
+        if lucas_pair(P, n, p) != (0, 1):
+            raise DomainError(f"rotation matrix for 3x = {P} mod {p} has no order dividing {n}")
+        d = n
+        for q in fact_n:
+            while d % q == 0 and lucas_pair(P, d // q, p) == (0, 1):
+                d //= q
+        return d
 
     def is_max_value(self, x: int) -> bool:
         return self.classify(x).maximal

@@ -16,7 +16,3 @@ class ConstructionError(RuntimeError):
 
 class CapExceeded(RuntimeError):
     """A resource cap (enumeration size, spectral size, digit budget) says no."""
-
-
-class DisconnectedGraph(RuntimeError):
-    """The mod-p graph was found to be disconnected."""

@@ -1,9 +1,9 @@
-"""Arithmetic over F_p and its quadratic extensions.
+"""Arithmetic over F_p.
 
 Everything works on plain Python integers: a field element is an int reduced
-mod p, and the modulus travels alongside it.  The quadratic extension
-F_p[T]/(T^2 - delta) gets a small value class (`Fp2`) because its elements are
-pairs and the multiplication rule depends on delta.
+mod p, and the modulus travels alongside it.  Nothing here computes orders:
+rotation orders come from the Lucas sequence in `core`, which never leaves
+F_p even when the eigenvalues live in F_{p^2}.
 
 Factoring is trial division up to a fixed bound with a deterministic
 Brent-cycle rho for what survives; primality is deterministic Miller-Rabin
@@ -13,7 +13,6 @@ for anything below 3.3e24, which covers every modulus this package touches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import DomainError
@@ -176,80 +175,3 @@ def phi(n: int) -> int:
     for q in factorize(n):
         out = out // q * (q - 1)
     return out
-
-
-def mult_order(a: int, p: int, factored_group: Optional[Dict[int, int]] = None) -> int:
-    """Multiplicative order of a in F_p^*.
-
-    Pass factorize(p - 1) as factored_group when calling in a loop.
-    """
-    a %= p
-    if a == 0:
-        raise DomainError("0 has no multiplicative order")
-    n = p - 1
-    if factored_group is None:
-        factored_group = factorize(n)
-    d = n
-    for q in factored_group:
-        while d % q == 0 and pow(a, d // q, p) == 1:
-            d //= q
-    return d
-
-
-@dataclass(frozen=True)
-class Fp2:
-    """Element a + b*T of F_p[T]/(T^2 - delta), delta a non-residue mod p."""
-
-    a: int
-    b: int
-    delta: int
-    p: int
-
-    def __mul__(self, other: "Fp2") -> "Fp2":
-        p, d = self.p, self.delta
-        return Fp2(
-            (self.a * other.a + self.b * other.b % p * d) % p,
-            (self.a * other.b + self.b * other.a) % p,
-            d,
-            p,
-        )
-
-    def conj(self) -> "Fp2":
-        return Fp2(self.a, (-self.b) % self.p, self.delta, self.p)
-
-    def norm(self) -> int:
-        """a^2 - delta*b^2, the norm down to F_p."""
-        return (self.a * self.a - self.delta * self.b * self.b) % self.p
-
-    def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
-
-    @classmethod
-    def one(cls, delta: int, p: int) -> "Fp2":
-        return cls(1, 0, delta, p)
-
-    def pow(self, n: int) -> "Fp2":
-        if n < 0:
-            # Only used on norm-1 elements, where the inverse is the conjugate.
-            if self.norm() != 1:
-                raise ValueError("negative powers only supported for norm-1 elements")
-            return self.conj().pow(-n)
-        out = Fp2.one(self.delta, self.p)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-
-def fp2_mult_order(x: Fp2, group_order: int, factored_group: Dict[int, int]) -> int:
-    """Order of x inside a subgroup of F_{p^2}^* of known order."""
-    if not x.pow(group_order).is_one():
-        raise DomainError("element does not lie in the stated subgroup")
-    d = group_order
-    for q in factored_group:
-        while d % q == 0 and x.pow(d // q).is_one():
-            d //= q
-    return d

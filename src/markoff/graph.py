@@ -168,7 +168,7 @@ class BfsTree:
         return int(self.depth.max())
 
 
-def bfs(g: SurfaceGraph, root: int, with_parents: bool = True) -> BfsTree:
+def bfs(g: SurfaceGraph, root: int) -> BfsTree:
     """Level-synchronous BFS.
 
     Ties are broken exactly as a sequential queue would with neighbor order
@@ -188,17 +188,15 @@ def bfs(g: SurfaceGraph, root: int, with_parents: bool = True) -> BfsTree:
         cand = g.adj[frontier].ravel()
         fresh = depth[cand] < 0
         cand = cand[fresh]
-        if with_parents:
-            par = np.repeat(frontier, DEGREE)[fresh]
-            mv = np.tile(cols, len(frontier))[fresh]
+        par = np.repeat(frontier, DEGREE)[fresh]
+        mv = np.tile(cols, len(frontier))[fresh]
         uniq, first = np.unique(cand, return_index=True)
         order = np.argsort(first, kind="stable")  # preserve discovery order
         uniq = uniq[order]
+        first = first[order]
         depth[uniq] = level
-        if with_parents:
-            first = first[order]
-            parent[uniq] = par[first]
-            via[uniq] = mv[first]
+        parent[uniq] = par[first]
+        via[uniq] = mv[first]
         frontier = uniq
     return BfsTree(root=root, depth=depth, parent=parent, via=via)
 
@@ -279,39 +277,6 @@ class SpectralReport:
         return (DEGREE - (self.lam2 + self.residual)) / 2
 
 
-def second_eigenvalue(
-    adj: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    seed: int = 0,
-) -> SpectralReport:
-    """Deflated power iteration for lambda_2 of a d-regular multigraph.
-
-    Works on the shifted operator A + dI (nonnegative spectrum) restricted to
-    the complement of the all-ones eigenvector, so the dominant eigenvalue
-    there is lambda_2 + d regardless of how negative the bottom of the
-    spectrum is.  Deterministic for a fixed seed.
-    """
-    n, d = adj.shape
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    theta = 0.0
-    for it in range(1, max_iter + 1):
-        w = v[adj].sum(axis=1) + float(d) * v
-        w -= w.mean()
-        theta = float(v @ w)
-        resid = float(np.linalg.norm(w - theta * v))
-        if resid <= tol * max(1.0, abs(theta)):
-            return SpectralReport(lam2=theta - d, residual=resid, iterations=it, converged=True)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    return SpectralReport(lam2=theta - d, residual=float("inf"), iterations=max_iter, converged=False)
-
-
 def _lanczos_second(adj: np.ndarray, tol: float, seed: int) -> SpectralReport:
     """lambda_2 via ARPACK on the gather-based matvec; deterministic start."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -337,14 +302,11 @@ def _lanczos_second(adj: np.ndarray, tol: float, seed: int) -> SpectralReport:
                           iterations=calls[0], converged=True)
 
 
-def spectral_gap(g: SurfaceGraph, tol: float = 1e-8, max_iter: int = 100_000, seed: int = 0,
+def spectral_gap(g: SurfaceGraph, tol: float = 1e-8, seed: int = 0,
                  cap: int = DEFAULT_SPECTRAL_CAP) -> SpectralReport:
     if g.p > cap:
         raise CapExceeded(f"spectral cap {cap} refuses p = {g.p}")
-    try:
-        rep = _lanczos_second(g.adj, tol=tol, seed=seed)
-    except ImportError:
-        rep = second_eigenvalue(g.adj, tol=tol, max_iter=max_iter, seed=seed)
+    rep = _lanczos_second(g.adj, tol=tol, seed=seed)
     if not rep.converged:
         raise ConstructionError(f"eigenvalue iteration did not converge for p = {g.p}")
     return rep

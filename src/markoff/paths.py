@@ -3,12 +3,13 @@
 The construction lives in the cage: the set of points with at least one
 coordinate whose rotation order is maximal (p - 1, p + 1 or 2p).  For a
 maximal nonzero value the rotation orbit along that axis is the whole conic
-section, so two cage points can be joined by walking three orbits: out along
-the first point's maximal axis to a meet point, across a bridging conic whose
-fixed value also has maximal order, and in along the second point's maximal
-axis.  Points outside the cage are first pushed into it:
+section, so two cage points can be joined by walking whole orbits: out along
+the first point's maximal axis to a meet point, across a chain of bridging
+conics whose fixed values also have maximal order (usually one), and in along
+the second point's maximal axis.  Points outside the cage are first pushed
+into it:
 
-  * order above sqrt(p): scan one rotation orbit for a cage point,
+  * order above sqrt(p): scan the rotation orbits for a cage point,
   * a 2/3 coordinate (rotation order exactly p): closed-form exit, because
     both moved coordinates are affine functions of the step count,
   * tiny order: climb to strictly larger orders one orbit scan at a time,
@@ -21,7 +22,7 @@ from a rescued one.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import field
 from .core import (
@@ -60,23 +61,6 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class ConicBridge:
-    """Witnesses joining two cage points through a third conic.
-
-    meet_x lies on C_i(x_i) and C_k(z); meet_y lies on C_j(y_j) and C_k(z).
-    z is a maximal nonzero value, so the rot_k orbit of meet_x covers the
-    bridging conic and in particular reaches meet_y.
-    """
-
-    z: int
-    meet_x: Triple
-    meet_y: Triple
-    i: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
 class CagePath:
     p: int
     target: Triple
@@ -94,18 +78,25 @@ def _signed(n: int, order: int) -> int:
     return r if r <= order - r else r - order
 
 
+def _seed_walk(cls: Classifier, min_n: int) -> Optional[List[Triple]]:
+    """rot_1^k(1,1,1) for k = 0..n, n the least in [min_n, 5] landing in the
+    cage; None when no power up to 5 does."""
+    walk = [SEED]
+    for n in range(6):
+        if n >= min_n and is_maximal(walk[-1], cls):
+            return walk
+        walk.append(rot(walk[-1], 1, cls.p))
+    return None
+
+
 def seed_to_cage(cls: Classifier, min_n: int = 0) -> Optional[Tuple[int, Triple]]:
     """Least n in [min_n, 5] with rot_1^n(1,1,1) in the cage, plus that point.
 
     Returns None when no power up to 5 lands in the cage.  min_n=1 matches the
     published table convention of always taking at least one step.
     """
-    x = SEED
-    for n in range(6):
-        if n >= min_n and is_maximal(x, cls):
-            return n, x
-        x = rot(x, 1, cls.p)
-    return None
+    walk = _seed_walk(cls, min_n)
+    return None if walk is None else (len(walk) - 1, walk[-1])
 
 
 def seed_table(primes, min_n: int = 1) -> List[Tuple[int, Optional[int], Tuple[Triple, ...]]]:
@@ -115,16 +106,8 @@ def seed_table(primes, min_n: int = 1) -> List[Tuple[int, Optional[int], Tuple[T
     """
     rows = []
     for p in primes:
-        cls = Classifier(p)
-        hit = seed_to_cage(cls, min_n=min_n)
-        if hit is None:
-            rows.append((p, None, ()))
-            continue
-        n, _ = hit
-        pts = [SEED]
-        for _ in range(n):
-            pts.append(rot(pts[-1], 1, p))
-        rows.append((p, n, tuple(pts)))
+        walk = _seed_walk(Classifier(p), min_n)
+        rows.append((p, None, ()) if walk is None else (p, len(walk) - 1, tuple(walk)))
     return rows
 
 
@@ -167,60 +150,6 @@ def _meet_points(axis_a: int, val_a: int, axis_b: int, val_b: int, p: int) -> Tu
         if pt != (0, 0, 0) and pt not in out:
             out.append(pt)
     return tuple(out)
-
-
-def conic_bridge(x: Triple, y: Triple, cls: Classifier) -> ConicBridge:
-    """Join two cage points through a single conic with a maximal fixed value.
-
-    Scans bridging values z by descending order class (the classifier's
-    maximal_values order), skipping 0 because its conic is degenerate: empty
-    or a pair of lines that the rotation orbits only half-cover.  For the
-    same reason, when an endpoint's maximal value is 0 both intersection
-    roots are tried and checked for orbit reachability before acceptance.
-
-    Such a z does not always exist at small p: mod 19 no maximal value
-    bridges the value pair (9, 4), every workable z having order 10 or 5.
-    Routing therefore goes through cage_connect, which chains several
-    bridges when the direct one is missing; this single-conic form is kept
-    because it is the common case and the natural unit to verify.
-    """
-    p = cls.p
-    i = maximal_index(x, cls)
-    j = maximal_index(y, cls)
-    a = x[i - 1]
-    b = y[j - 1]
-    for k in (ax for ax in (1, 2, 3) if ax != i and ax != j):
-        for z in cls.maximal_values():
-            if z == 0:
-                continue
-            meets_x = _meet_points(i, a, k, z, p)
-            meets_y = _meet_points(j, b, k, z, p)
-            if not meets_x or not meets_y:
-                continue
-            mx = _pick_meet(meets_x, x, i, cls, outgoing=True)
-            my = _pick_meet(meets_y, y, j, cls, outgoing=False)
-            if mx is None or my is None:
-                continue
-            return ConicBridge(z, mx, my, i, j, k)
-    raise ConstructionError(
-        f"no bridging value joins {x} and {y} mod {p} (maximal axes {i}, {j})"
-    )
-
-
-def _pick_meet(meets: Tuple[Triple, ...], endpoint: Triple, axis: int,
-               cls: Classifier, outgoing: bool) -> Optional[Triple]:
-    """Choose an intersection witness reachable from/to the endpoint.
-
-    With a nonzero maximal value the whole conic is one orbit and the first
-    (canonical-root) witness always works.  Value 0 splits the conic in two
-    orbits, so each witness is checked."""
-    if endpoint[axis - 1] != 0:
-        return meets[0]
-    for m in meets:
-        src, dst = (endpoint, m) if outgoing else (m, endpoint)
-        if orbit_exponent(src, axis, dst, cls) is not None:
-            return m
-    return None
 
 
 def _maximal_value_mesh(cls: Classifier) -> dict:
@@ -367,27 +296,34 @@ def cage_route(target: Triple, cls: Classifier,
     return stages
 
 
-def scan_to_cage(x: Triple, cls: Classifier) -> Optional[Tuple[int, int, Triple]]:
-    """(axis, n, point) with rot_axis^n(x) in the cage, or None.
+def orbit_scan(x: Triple, cls: Classifier) -> Iterator[Tuple[int, int, Triple]]:
+    """(axis, n, rot_axis^n(x)) over the rotation orbits through x.
 
-    Scans the largest-order axis first, then the others ascending; within an
-    orbit |n| ascends with + tried before -.  Already-maximal x returns n=0."""
-    if is_maximal(x, cls):
-        return maximal_index(x, cls), 0, x
+    The largest-order axis comes first, then the others ascending; within an
+    orbit |n| ascends up to half the order with + tried before -, so each
+    orbit point other than x is yielded once.  Lazy: callers stop at the
+    first point they accept and pay only for the steps up to it."""
+    p = cls.p
     first = maximal_index(x, cls)
     for ax in (first, *(a for a in (1, 2, 3) if a != first)):
         order = rotation_order(x, ax, cls)
         fwd = bwd = x
         for n in range(1, order // 2 + 1):
-            fwd = rot(fwd, ax, cls.p)
-            if is_maximal(fwd, cls):
-                return ax, n, fwd
+            fwd = rot(fwd, ax, p)
+            yield ax, n, fwd
             if 2 * n == order:
                 break
-            bwd = rot_inv(bwd, ax, cls.p)
-            if is_maximal(bwd, cls):
-                return ax, -n, bwd
-    return None
+            bwd = rot_inv(bwd, ax, p)
+            yield ax, -n, bwd
+
+
+def scan_to_cage(x: Triple, cls: Classifier) -> Optional[Tuple[int, int, Triple]]:
+    """(axis, n, point) with rot_axis^n(x) in the cage, or None.
+
+    The first cage point of `orbit_scan`; already-maximal x returns n=0."""
+    if is_maximal(x, cls):
+        return maximal_index(x, cls), 0, x
+    return next((hit for hit in orbit_scan(x, cls) if is_maximal(hit[2], cls)), None)
 
 
 def climb_orders(x: Triple, cls: Classifier) -> Optional[List[Tuple[int, int, Triple]]]:
@@ -406,24 +342,7 @@ def climb_orders(x: Triple, cls: Classifier) -> Optional[List[Tuple[int, int, Tr
         if len(moves) >= cap:
             return None
         base = point_order(cur, cls)
-        found = None
-        first = maximal_index(cur, cls)
-        for ax in (first, *(a for a in (1, 2, 3) if a != first)):
-            order = rotation_order(cur, ax, cls)
-            fwd = bwd = cur
-            for n in range(1, order // 2 + 1):
-                fwd = rot(fwd, ax, p)
-                if point_order(fwd, cls) > base:
-                    found = (ax, n, fwd)
-                    break
-                if 2 * n == order:
-                    break
-                bwd = rot_inv(bwd, ax, p)
-                if point_order(bwd, cls) > base:
-                    found = (ax, -n, bwd)
-                    break
-            if found:
-                break
+        found = next((m for m in orbit_scan(cur, cls) if point_order(m[2], cls) > base), None)
         if found is None:
             return None
         moves.append(found)

@@ -85,64 +85,3 @@ def test_tau_phi_known_values():
     assert field.phi(960) == 256
     assert field.phi(30) == 8
     assert field.tau(1) == 1 and field.phi(1) == 1
-
-
-def test_mult_order_exhaustive_small():
-    for p in (5, 7, 11, 13, 29):
-        fact = field.factorize(p - 1)
-        for a in range(1, p):
-            d = field.mult_order(a, p, fact)
-            assert pow(a, d, p) == 1
-            for q in fact:
-                if d % q == 0:
-                    assert pow(a, d // q, p) != 1
-    assert field.mult_order(3, 5) == 4
-    assert field.mult_order(1, 97) == 1
-
-
-def test_fp2_norm_and_associativity_samples():
-    rng = random.Random(3)
-    for p in (11, 13, 31):
-        delta = next(d for d in range(2, p) if field.legendre(d, p) == -1)
-        for _ in range(100):
-            xs = [field.Fp2(rng.randrange(p), rng.randrange(p), delta, p) for _ in range(3)]
-            x, y, z = xs
-            assert ((x * y) * z) == (x * (y * z))
-            assert (x * y).norm() == x.norm() * y.norm() % p
-
-
-def test_fp2_pow_against_repeated_multiplication():
-    p, delta = 11, 10  # 10 is a non-residue mod 11
-    x = field.Fp2(3, 6, delta, p)
-    acc = field.Fp2.one(delta, p)
-    for n in range(1, 40):
-        acc = acc * x
-        assert x.pow(n) == acc
-
-
-def test_fp2_order_of_unit_from_coordinate_two_mod_eleven():
-    # x = 2 mod 11: discriminant (3x)^2 - 4 = 32 = 10, a non-residue, and the
-    # associated unit (3x + T)/2 has order 12 = p + 1 (cross-checked against
-    # the 2x2 matrix order oracle).
-    p = 11
-    delta = (3 * 2) ** 2 - 4
-    assert field.legendre(delta, p) == -1
-    inv2 = pow(2, p - 2, p)
-    eps = field.Fp2(3 * 2 * inv2 % p, inv2, delta % p, p)
-    assert eps.norm() == 1
-    order = field.fp2_mult_order(eps, p + 1, field.factorize(p + 1))
-    assert order == 12
-    assert oracles.matrix_order(2, p) == 12
-
-
-def test_fp2_negative_pow_is_conjugate_power():
-    # The unit for x = 1 mod 13: delta = (3*1)^2 - 4 = 5, a non-residue,
-    # and (3 + T)/2 has norm (3^2 - 5)/4 = 1.
-    p, delta = 13, 5
-    inv2 = pow(2, p - 2, p)
-    eps = field.Fp2(3 * inv2 % p, inv2, delta, p)
-    assert eps.norm() == 1
-    assert (eps.pow(-3) * eps.pow(3)).is_one()
-    x = field.Fp2(2, 0, delta, p)
-    with pytest.raises(ValueError):
-        x.pow(-1)  # norm 4 != 1

@@ -1,6 +1,5 @@
 """Graph engine against the triple-loop oracle, plus BFS, spectral, exports."""
 
-import math
 import random
 
 import numpy as np
@@ -209,16 +208,6 @@ def test_components_connected_small_primes():
         assert rep.connected
         assert rep.vertices == graph.vertex_count_formula(p)
     assert graph.connectivity_check(31).sizes == [868]
-
-
-def test_second_eigenvalue_on_cycle_closed_form():
-    # C_n is 2-regular with lambda_2 = 2*cos(2*pi/n).
-    for n in (8, 30, 101):
-        ids = np.arange(n, dtype=np.int32)
-        adj = np.stack([(ids + 1) % n, (ids - 1) % n], axis=1)
-        rep = graph.second_eigenvalue(adj, tol=1e-10, max_iter=200_000, seed=2)
-        assert rep.converged
-        assert abs(rep.lam2 - 2 * math.cos(2 * math.pi / n)) < 1e-6
 
 
 def test_spectral_gap_matches_dense_eigensolver_p31():

@@ -5,14 +5,13 @@ import pytest
 import oracles
 from markoff import paths
 from markoff.core import Classifier, on_surface, rotation_power
-from markoff.errors import ConstructionError, DomainError
+from markoff.errors import DomainError
 from markoff.graph import SurfaceGraph
 from markoff.paths import (
     CagePath,
     SEED,
     cage_route,
     climb_orders,
-    conic_bridge,
     construct_path,
     orbit_exponent,
     parabolic_axis,
@@ -115,39 +114,20 @@ def _cage_reps(p, cls, g):
 
 
 def test_conic_bridge_witnesses_p19():
-    # Where a single bridging conic exists its witnesses must sit on the
-    # stated conics and be reachable along all three legs.  It does not
-    # always exist: mod 19 every z joining the value pair (9, 4) has order
-    # 10 or 5, never 18 or 20, so the direct bridge is genuinely missing.
+    # A single bridging conic does not always exist: mod 19 every nonzero z
+    # whose conic meets both value 9 and value 4 has order 10 or 5, never 18
+    # or 20, so the chain search needs two bridges between them.
     p = 19
     cls = Classifier(p)
-    g = SurfaceGraph.build(p)
-    reps = _cage_reps(p, cls, g)
-    assert reps
-    direct, missing = 0, 0
-    for x in reps:
-        for y in reps:
-            try:
-                br = conic_bridge(x, y, cls)
-            except ConstructionError:
-                missing += 1
-                continue
-            direct += 1
-            assert br.k != br.i and br.k != br.j
-            assert cls.is_max_value(br.z) and br.z != 0
-            assert br.meet_x[br.i - 1] == x[br.i - 1]
-            assert br.meet_x[br.k - 1] == br.z
-            assert br.meet_y[br.j - 1] == y[br.j - 1]
-            assert br.meet_y[br.k - 1] == br.z
-            assert on_surface(br.meet_x, p) and on_surface(br.meet_y, p)
-            assert orbit_exponent(x, br.i, br.meet_x, cls) is not None
-            assert orbit_exponent(br.meet_x, br.k, br.meet_y, cls) is not None
-            assert orbit_exponent(br.meet_y, br.j, y, cls) is not None
-    assert direct > 0 and missing > 0
-    x_bad = next(t for t in reps if t[0] == 9 and paths.maximal_index(t, cls) == 1)
-    y_bad = next(t for t in reps if t[0] == 4 and paths.maximal_index(t, cls) == 1)
-    with pytest.raises(ConstructionError):
-        conic_bridge(x_bad, y_bad, cls)
+    assert not any(
+        paths._meet_points(1, 9, 2, z, p) and paths._meet_points(1, 4, 2, z, p)
+        for z in cls.maximal_values() if z != 0
+    )
+    chain = paths._conic_chain((1, 9), (1, 4), cls)
+    assert chain == [(1, 9), (2, 2), (3, 9), (1, 4)]  # four conics
+    for (ax_a, a), (ax_b, b) in zip(chain, chain[1:]):
+        assert ax_a != ax_b and cls.is_max_value(b)
+        assert paths._meet_points(ax_a, a, ax_b, b, p)
 
 
 def test_cage_connect_exhaustive_pairs():
