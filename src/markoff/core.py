@@ -196,7 +196,9 @@ class Classifier:
 
     def maximal_values(self) -> Tuple[int, ...]:
         """All maximal coordinate values, by descending order class (2p, p+1, p-1),
-        ascending value within a class.  Cached; costs one sweep over F_p."""
+        ascending value within a class.  Cached; costs one sweep over F_p, so
+        of the commands only `cage-stats` calls it; routes test values one
+        at a time with `is_max_value`."""
         if self._max_values is None:
             buckets = {2 * self.p: [], self.p + 1: [], self.p - 1: []}
             for v in range(self.p):

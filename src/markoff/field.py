@@ -6,8 +6,10 @@ rotation orders come from the Lucas sequence in `core`, which never leaves
 F_p even when the eigenvalues live in F_{p^2}.
 
 Factoring is trial division up to a fixed bound with a deterministic
-Brent-cycle rho for what survives; primality is deterministic Miller-Rabin
-for anything below 3.3e24, which covers every modulus this package touches.
+Brent-cycle rho for what survives.  Primality is Miller-Rabin with the
+first thirteen primes as witnesses, which is deterministic below
+MR_DETERMINISTIC_BOUND (about 3.3e24); `require_odd_prime` refuses any
+modulus at or above it rather than trust a probable-prime answer.
 """
 
 from __future__ import annotations
@@ -17,17 +19,21 @@ from typing import Dict, Optional
 
 from .errors import DomainError
 
-# Witnesses that make Miller-Rabin deterministic for n < 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses that make Miller-Rabin deterministic below the bound, the least
+# strong pseudoprime to all of them (1287836182261 * 2575672364521).  The
+# first twelve alone pass 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 _TRIAL_BOUND = 1_000_000
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed witnesses; deterministic below 3.3e24."""
+    """Miller-Rabin with fixed witnesses; exact below MR_DETERMINISTIC_BOUND,
+    a probable-prime answer at or above it."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -49,7 +55,11 @@ def is_probable_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> int:
-    """Validate a modulus for this package: a prime strictly above 3."""
+    """Validate a modulus for this package: a prime strictly above 3 and
+    below MR_DETERMINISTIC_BOUND, where the primality test is exact."""
+    if isinstance(p, int) and p >= MR_DETERMINISTIC_BOUND:
+        raise DomainError(f"modulus {p} is not below {MR_DETERMINISTIC_BOUND}, "
+                          "where the primality test stops being deterministic")
     if not isinstance(p, int) or p <= 3 or not is_probable_prime(p):
         raise DomainError(f"modulus must be a prime greater than 3, got {p!r}")
     return p

@@ -6,12 +6,14 @@ maximal nonzero value the rotation orbit along that axis is the whole conic
 section, so two cage points can be joined by walking whole orbits: out along
 the first point's maximal axis to a meet point, across a chain of bridging
 conics whose fixed values also have maximal order (usually one), and in along
-the second point's maximal axis.  Points outside the cage are first pushed
-into it:
+the second point's maximal axis.  The chain comes from a breadth-first search
+that stops at the first conic adjacent to the target's, so no route sweeps
+F_p for the maximal values.  Points outside the cage are first pushed into it:
 
   * order above sqrt(p): scan the rotation orbits for a cage point,
-  * a 2/3 coordinate (rotation order exactly p): closed-form exit, because
-    both moved coordinates are affine functions of the step count,
+  * a 2/3 coordinate (rotation order exactly p): closed-form exit to the
+    value -2/3, because both moved coordinates are affine functions of the
+    step count,
   * tiny order: climb to strictly larger orders one orbit scan at a time,
     then reduce to the previous case.
 
@@ -152,26 +154,11 @@ def _meet_points(axis_a: int, val_a: int, axis_b: int, val_b: int, p: int) -> Tu
     return tuple(out)
 
 
-def _maximal_value_mesh(cls: Classifier) -> dict:
-    """Adjacency between maximal values: v -> sorted values w (0 excluded on
-    the w side only by the caller) whose conics intersect, i.e. a surface
-    point with the two values on two distinct axes exists.  Cached on the
-    classifier since it only depends on p."""
-    mesh = getattr(cls, "_paths_value_mesh", None)
-    if mesh is not None:
-        return mesh
-    p = cls.p
-    vals = cls.maximal_values()
-    mesh = {v: [] for v in vals}
-    for a in vals:
-        for b in vals:
-            disc = (9 * a * a * b * b - 4 * (a * a + b * b)) % p
-            if field.legendre(disc, p) >= 0:
-                mesh[a].append(b)
-    for v in mesh:
-        mesh[v].sort()
-    cls._paths_value_mesh = mesh
-    return mesh
+def _meets(a: int, b: int, p: int) -> bool:
+    """Whether conics of values a and b on distinct axes share a surface point:
+    the free coordinate's quadratic has a root, and it is not the zero point."""
+    disc = 9 * a * a * b * b - 4 * (a * a + b * b)
+    return (a != 0 or b != 0) and field.legendre(disc, p) >= 0
 
 
 def _conic_chain(start: Tuple[int, int], goal: Tuple[int, int],
@@ -180,44 +167,42 @@ def _conic_chain(start: Tuple[int, int], goal: Tuple[int, int],
 
     Consecutive conics use different axes and intersecting values, so every
     link carries a meet point.  Value 0 may appear only at the chain ends
-    (its conic is degenerate and cannot be walked across).  Breadth-first
-    with a fixed expansion order, so the chain is deterministic."""
-    mesh = _maximal_value_mesh(cls)
-    if start == goal:
-        # Both endpoints on one split conic but on different halves: step out
-        # to any intersecting whole conic and come back.
-        ax, v = start
-        for ax2 in (1, 2, 3):
-            if ax2 == ax:
-                continue
-            for v2 in mesh.get(v, ()):
-                if v2 != 0:
-                    return [start, (ax2, v2), goal]
-        return None
+    (its conic is degenerate and cannot be walked across).
+
+    Breadth-first, each conic expanding to the other axes ascending and the
+    nonzero maximal values ascending, both tested on demand (no sweep of
+    F_p).  A full search stops on generating the goal, i.e. while expanding
+    the first conic in queue order adjacent to the goal; generation order is
+    queue order, so testing adjacency as each conic is generated, start
+    first, finds the same parent a level sooner and the same chain.  With
+    start == goal (two halves of a split conic) that parent is the first
+    conic generated after start."""
+    p = cls.p
     parent = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
+
+    def generated() -> Iterator[Tuple[int, int]]:
+        yield start
+        queue = [start]
         for node in queue:
             ax, v = node
             for ax2 in (1, 2, 3):
                 if ax2 == ax:
                     continue
-                for v2 in mesh.get(v, ()):
+                for v2 in range(1, p):
                     cand = (ax2, v2)
-                    if cand in parent:
-                        continue
-                    if v2 == 0 and cand != goal:
-                        continue
-                    parent[cand] = node
-                    if cand == goal:
-                        chain = [cand]
-                        while parent[chain[-1]] is not None:
-                            chain.append(parent[chain[-1]])
-                        chain.reverse()
-                        return chain
-                    nxt.append(cand)
-        queue = nxt
+                    if cand not in parent and _meets(v, v2, p) and cls.is_max_value(v2):
+                        parent[cand] = node
+                        queue.append(cand)
+                        yield cand
+
+    goal_ax, goal_v = goal
+    for node in generated():
+        if node[0] != goal_ax and _meets(node[1], goal_v, p):
+            chain = [goal]
+            while node is not None:
+                chain.append(node)
+                node = parent[node]
+            return chain[::-1]
     return None
 
 
@@ -226,7 +211,8 @@ def cage_connect(x: Triple, y: Triple, cls: Classifier) -> List[Tuple[int, int]]
 
     Builds the shortest conic chain between the two maximal conics and walks
     it: each step moves along the current conic's axis to the meet point
-    with the next conic.  Zero exponents are dropped.
+    with the next conic, and the last meet must sit on the target's orbit.
+    Zero exponents are dropped.
     """
     if x == y:
         return []
@@ -241,40 +227,34 @@ def cage_connect(x: Triple, y: Triple, cls: Classifier) -> List[Tuple[int, int]]
                 continue  # split conic (v = 0) with the points on different halves
             return [(ax, n)] if n else []
 
-    start = (maximal_index(x, cls), x[maximal_index(x, cls) - 1])
-    goal = (maximal_index(y, cls), y[maximal_index(y, cls) - 1])
+    ax_x, goal_ax = maximal_index(x, cls), maximal_index(y, cls)
+    start, goal = (ax_x, x[ax_x - 1]), (goal_ax, y[goal_ax - 1])
     chain = _conic_chain(start, goal, cls)
-    if chain is None or len(chain) < 2:
+    if chain is None:
         raise ConstructionError(
             f"no conic chain joins {x} and {y} mod {p} (conics {start}, {goal})"
         )
 
     steps: List[Tuple[int, int]] = []
     cur = x
-    goal_ax = goal[0]
-    for t in range(len(chain) - 1):
-        ax_c, v_c = chain[t]
-        ax_n, v_n = chain[t + 1]
-        meets = _meet_points(ax_c, v_c, ax_n, v_n, p)
-        chosen = None
-        for m in meets:
+    last = len(chain) - 2
+    for t, ((ax_c, v_c), (ax_n, v_n)) in enumerate(zip(chain, chain[1:])):
+        for m in _meet_points(ax_c, v_c, ax_n, v_n, p):
             n_in = orbit_exponent(cur, ax_c, m, cls)
             if n_in is None:
                 continue
-            if t == len(chain) - 2 and orbit_exponent(m, goal_ax, y, cls) is None:
-                continue  # split goal conic: this meet sits on the wrong half
-            chosen = (m, n_in)
+            if t == last:
+                n_fin = orbit_exponent(m, goal_ax, y, cls)
+                if n_fin is None:
+                    continue  # split goal conic: this meet sits on the wrong half
             break
-        if chosen is None:
+        else:
             raise ConstructionError(
-                f"conic chain from {x} to {y} mod {p} lost its meet at {chain[t + 1]}"
+                f"conic chain from {x} to {y} mod {p} lost its meet at {(ax_n, v_n)}"
             )
-        cur = chosen[0]
-        if chosen[1]:
-            steps.append((ax_c, chosen[1]))
-    n_fin = orbit_exponent(cur, goal_ax, y, cls)
-    if n_fin is None:
-        raise ConstructionError(f"conic chain from {x} to {y} mod {p} missed the target")
+        cur = m
+        if n_in:
+            steps.append((ax_c, n_in))
     if n_fin:
         steps.append((goal_ax, n_fin))
     return steps
@@ -364,26 +344,24 @@ def parabolic_exit(x: Triple, i: int, cls: Classifier) -> Tuple[int, Triple]:
     On an order-p parabolic orbit the rotation matrix is unipotent, so both
     moved coordinates are affine in k: coord(k) = coord(0) + k * step.  Pick a
     moved axis whose step is nonzero (one always exists or the orbit would be
-    a fixed point) and solve coord(k) = b for the first nonzero maximal b.
+    a fixed point) and solve coord(k) = -2/3, the one value of order 2p and
+    so always maximal.
     """
     p = cls.p
     x1 = rot(x, i, p)
+    b = cls.minus_two_thirds
     for j in (ax for ax in (1, 2, 3) if ax != i):
         c = x[j - 1]
         d = (x1[j - 1] - c) % p
         if d == 0:
             continue
-        dinv = pow(d, p - 2, p)
-        for b in cls.maximal_values():
-            if b == 0:
-                continue
-            k = (b - c) * dinv % p
-            y = rotation_power(x, i, k, p)
-            if y[j - 1] != b:
-                raise ConstructionError(
-                    f"parabolic orbit of {x} mod {p} is not affine in the step count"
-                )
-            return k, y
+        k = (b - c) * pow(d, p - 2, p) % p
+        y = rotation_power(x, i, k, p)
+        if y[j - 1] != b:
+            raise ConstructionError(
+                f"parabolic orbit of {x} mod {p} is not affine in the step count"
+            )
+        return k, y
     raise ConstructionError(f"parabolic orbit of {x} mod {p} moves no coordinate")
 
 

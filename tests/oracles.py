@@ -7,7 +7,7 @@ except where a test deliberately feeds oracle output into package input.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 Triple = Tuple[int, int, int]
 
@@ -109,6 +109,45 @@ def matrix_order(x: int, p: int) -> int:
         if n > 4 * p + 4:
             raise AssertionError("matrix order runaway")
     return n
+
+
+def maximal_values(p: int) -> List[int]:
+    """Values whose rotation matrix has the largest order its class allows
+    (p - 1, p + 1 or 2p), by repeated multiplication."""
+    return [v for v in range(p) if matrix_order(v, p) in (p - 1, p + 1, 2 * p)]
+
+
+def conic_links(points: List[Triple]) -> Dict[Tuple[int, int], Set[Tuple[int, int]]]:
+    """(axis, value) -> the conics on other axes that share a surface point
+    with it, read off the enumerated points."""
+    links: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    for x in points:
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                if a != b:
+                    links.setdefault((a, x[a - 1]), set()).add((b, x[b - 1]))
+    return links
+
+
+def conic_distance(start, goal, links, maximal) -> Optional[int]:
+    """Fewest links (at least one) in a chain of maximal conics from start to
+    goal whose interior conics carry nonzero values; None if there is none."""
+    allowed = set(maximal)
+    seen = {start}
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for node in frontier:
+            for nb in links.get(node, ()):
+                if nb == goal:
+                    return d
+                if nb[1] in allowed and nb[1] != 0 and nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        frontier = nxt
+    return None
 
 
 def lucas_u(P: int, n: int, p: int) -> int:

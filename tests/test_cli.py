@@ -165,6 +165,10 @@ def test_exit_code_domain_errors(capsys):
     assert run_cli(capsys, "classify", "-p", "11")[0] == 2
     code, _, err = run_cli(capsys, "path", "-p", "11", "--to", "1,1,x")
     assert code == 2 and "error:" in err
+    # composite that passes Miller-Rabin on the bases 2..37
+    code, out, _ = run_cli(capsys, "classify", "-p", "318665857834031151167461",
+                           "--to", "1,1,1")
+    assert code == 2 and out == ""
 
 
 def test_exit_code_cap_refusals(capsys):

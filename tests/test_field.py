@@ -29,6 +29,24 @@ def test_require_odd_prime_boundaries():
             field.require_odd_prime(bad)
 
 
+def test_primality_rejects_strong_pseudoprime_to_bases_through_37():
+    n = 318665857834031151167461  # least strong pseudoprime to 2..37
+    assert n == 399165290221 * 798330580441
+    assert not field.is_probable_prime(n)
+    with pytest.raises(DomainError):
+        field.require_odd_prime(n)
+
+
+def test_require_odd_prime_refuses_past_deterministic_bound():
+    bound = field.MR_DETERMINISTIC_BOUND
+    assert bound == 1287836182261 * 2575672364521
+    # the bound itself fools every witness, which is why it is refused
+    assert field.is_probable_prime(bound)
+    for bad in (bound, bound + 2):
+        with pytest.raises(DomainError, match="deterministic"):
+            field.require_odd_prime(bad)
+
+
 def test_legendre_matches_exhaustive_squares():
     for p in SMALL_PRIMES:
         sq = oracles.squares(p)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -130,14 +131,37 @@ def test_conic_bridge_witnesses_p19():
         assert paths._meet_points(ax_a, a, ax_b, b, p)
 
 
+def test_conic_chain_is_shortest_against_point_oracle():
+    # The chain search tests meets by a Legendre symbol; the oracle reads the
+    # meta-graph of maximal conics off the enumerated surface points.
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        cls = Classifier(p)
+        maximal = oracles.maximal_values(p)
+        links = oracles.conic_links(oracles.surface_points(p))
+        conics = [(axis, v) for axis in (1, 2, 3) for v in maximal]
+        for start in conics:
+            for goal in conics:
+                chain = paths._conic_chain(start, goal, cls)
+                want = oracles.conic_distance(start, goal, links, maximal)
+                if want is None:
+                    assert chain is None, (p, start, goal)
+                    continue
+                assert chain[0] == start and chain[-1] == goal, (p, chain)
+                for a, b in zip(chain, chain[1:]):
+                    assert b in links[a], (p, chain)  # distinct axes that meet
+                assert all(v in maximal and v != 0 for _, v in chain[1:-1]), (p, chain)
+                assert len(chain) - 1 == want, (p, chain, want)
+
+
 def test_cage_connect_exhaustive_pairs():
     # The chain router must join every ordered pair of cage representatives,
     # including the pairs the direct bridge misses and the split value-0
-    # conic mod 5.
+    # conic mod 5.  (0,3,4) and (3,0,4) are maximal only through a 0 on two
+    # different axes, and those two conics meet only at the zero point.
     for p in (5, 19):
         cls = Classifier(p)
         g = SurfaceGraph.build(p)
-        reps = _cage_reps(p, cls, g)
+        reps = _cage_reps(p, cls, g) + ([(0, 3, 4), (3, 0, 4)] if p == 5 else [])
         for x in reps:
             for y in reps:
                 steps = paths.cage_connect(x, y, cls)
@@ -335,3 +359,34 @@ def test_degenerate_zero_value_target_mod_5():
     for x in oracles.surface_points(5):
         path = construct_path(5, x, cls=cls)
         assert not path.used_fallback
+
+
+def test_construct_path_matches_golden_words():
+    # p x1,x2,x3 word: 3 targets per prime 5..1100 and 20 at p = 2017, drawn
+    # uniformly from X*(p) with random.Random(p); seed-miss primes take the
+    # BFS fallback.  Recorded before the conic mesh was removed.
+    lines = (Path(__file__).parent / "golden" / "route_words.txt").read_text().splitlines()
+    cls = None
+    for line in lines:
+        p_text, x_text, want = line.split()
+        p = int(p_text)
+        if cls is None or cls.p != p:
+            cls = Classifier(p)
+            graph = SurfaceGraph.build(p) if seed_to_cage(cls) is None else None
+        x = tuple(int(c) for c in x_text.split(","))
+        assert str(construct_path(p, x, cls=cls, graph=graph).word) == want, line
+
+
+def test_construct_path_never_sweeps_maximal_values(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the route swept F_p for the maximal values")
+
+    monkeypatch.setattr(Classifier, "maximal_values", refuse)
+    cls = Classifier(31)
+    for x in oracles.surface_points(31):
+        construct_path(31, x, cls=cls, allow_fallback=False)
+    for p in (199, 2017):
+        cls = Classifier(p)
+        rng = random.Random(p)
+        for _ in range(40):
+            construct_path(p, _random_point(rng, p), cls=cls, allow_fallback=False)
