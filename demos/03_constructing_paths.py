@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Explicit paths from (1,1,1) to arbitrary targets, no search involved.
 
-The route has a fixed shape.  First walk the seed along the first axis
-until some coordinate has maximal rotation order; the landing set (the
-"cage", the union of maximal orbits) is small in diameter because maximal
-conics overlap heavily.  Then move between maximal conics through their
-intersection points.  Finally, if the target itself is not in the cage,
-enter its conic from the cage and scan, climbing through strictly
-increasing orbit orders when the scan radius would be too large, with a
-closed-form exit for the parabolic 2/3 orbits.
+The route has a fixed shape.  First move the seed into the set of points
+with some coordinate of maximal rotation order (the "cage", the union of
+maximal orbits), which is small in diameter because maximal conics overlap
+heavily; for most primes that is a short walk along the first axis.  Then
+move between maximal conics through their intersection points.  Finally,
+if the target itself is not in the cage, enter its conic from the cage
+and scan, climbing through strictly increasing orbit orders when the scan
+radius would be too large, with a closed-form exit for the parabolic 2/3
+orbits.  The seed enters the cage by the same scan, climb or exit.
 """
 
 from markoff import Classifier, construct_path, seed_table

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """A constructive step failed (no seed, no bridge, dead orbit scan,
+    """A constructive step failed (no bridge, dead orbit scan, stalled climb,
     spectral iteration did not converge) and no fallback was available."""
 
 

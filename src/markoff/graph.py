@@ -83,14 +83,16 @@ class SurfaceGraph:
     @classmethod
     def build(cls, p: int, cap: int = DEFAULT_ENUM_CAP) -> "SurfaceGraph":
         field.require_odd_prime(p)
+        want = vertex_count_formula(p)
+        # int32 ids first refuse p = 46349, well below the int64 key limit p < 2^21
+        if want > np.iinfo(np.int32).max:
+            raise CapExceeded(f"{want} vertices mod {p} do not fit int32 vertex ids")
         if p > cap:
             raise CapExceeded(f"enumeration cap {cap} refuses p = {p}")
         keys = surface_arrays(p)
         n = len(keys)
-        if n != vertex_count_formula(p):
-            raise ConstructionError(
-                f"vertex count {n} != formula {vertex_count_formula(p)} at p = {p}"
-            )
+        if n != want:
+            raise ConstructionError(f"vertex count {n} != formula {want} at p = {p}")
         x3 = keys % p
         x2 = (keys // p) % p
         x1 = keys // (p * p)

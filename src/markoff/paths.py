@@ -8,7 +8,8 @@ the first point's maximal axis to a meet point, across a chain of bridging
 conics whose fixed values also have maximal order (usually one), and in along
 the second point's maximal axis.  The chain comes from a breadth-first search
 that stops at the first conic adjacent to the target's, so no route sweeps
-F_p for the maximal values.  Points outside the cage are first pushed into it:
+F_p for the maximal values.  Points outside the cage, the seed (1, 1, 1) and
+the target alike, are first pushed into it:
 
   * order above sqrt(p): scan the rotation orbits for a cage point,
   * a 2/3 coordinate (rotation order exactly p): closed-form exit to the
@@ -17,10 +18,11 @@ F_p for the maximal values.  Points outside the cage are first pushed into it:
   * tiny order: climb to strictly larger orders one orbit scan at a time,
     then reduce to the previous case.
 
-Every route is replayed before it is returned.  Constructive misses raise
-ConstructionError or, when allowed, fall back to breadth-first search; the
-stage tags record which happened so callers can tell a pure construction
-from a rescued one.
+A route is the seed's way into the cage reversed, a walk between the two
+cage points, then the target's way into the cage reversed.  Every route is
+replayed before it is returned.  A constructive miss falls back to
+breadth-first search over the enumerated graph; the stage tags record which
+happened so callers can tell a pure construction from a rescued one.
 """
 
 from dataclasses import dataclass
@@ -80,36 +82,25 @@ def _signed(n: int, order: int) -> int:
     return r if r <= order - r else r - order
 
 
-def _seed_walk(cls: Classifier, min_n: int) -> Optional[List[Triple]]:
-    """rot_1^k(1,1,1) for k = 0..n, n the least in [min_n, 5] landing in the
-    cage; None when no power up to 5 does."""
-    walk = [SEED]
-    for n in range(6):
-        if n >= min_n and is_maximal(walk[-1], cls):
-            return walk
-        walk.append(rot(walk[-1], 1, cls.p))
-    return None
-
-
-def seed_to_cage(cls: Classifier, min_n: int = 0) -> Optional[Tuple[int, Triple]]:
-    """Least n in [min_n, 5] with rot_1^n(1,1,1) in the cage, plus that point.
-
-    Returns None when no power up to 5 lands in the cage.  min_n=1 matches the
-    published table convention of always taking at least one step.
-    """
-    walk = _seed_walk(cls, min_n)
-    return None if walk is None else (len(walk) - 1, walk[-1])
-
-
-def seed_table(primes, min_n: int = 1) -> List[Tuple[int, Optional[int], Tuple[Triple, ...]]]:
-    """Rows (p, n, points) for the seed walk, points from (1,1,1) inclusive.
+def seed_table(primes) -> List[Tuple[int, Optional[int], Tuple[Triple, ...]]]:
+    """Rows (p, n, points) of the published seed walk: rot_1^k(1,1,1) for
+    k = 0..n, n the least in [1, 5] landing in the cage.
 
     n is None (with an empty walk) for a prime where no power up to 5 works.
+    Routes do not use this walk; they move the seed into the cage like any
+    other point.
     """
     rows = []
     for p in primes:
-        walk = _seed_walk(Classifier(p), min_n)
-        rows.append((p, None, ()) if walk is None else (p, len(walk) - 1, tuple(walk)))
+        cls = Classifier(p)
+        walk = [SEED]
+        for _ in range(5):
+            walk.append(rot(walk[-1], 1, p))
+            if is_maximal(walk[-1], cls):
+                rows.append((p, len(walk) - 1, tuple(walk)))
+                break
+        else:
+            rows.append((p, None, ()))
     return rows
 
 
@@ -260,15 +251,12 @@ def cage_connect(x: Triple, y: Triple, cls: Classifier) -> List[Tuple[int, int]]
     return steps
 
 
-def cage_route(target: Triple, cls: Classifier,
-               seed: Optional[Tuple[int, Triple]] = None) -> List[Stage]:
-    """Stages from (1,1,1) to a cage point: seed walk, then conic walks."""
-    if seed is None:
-        seed = seed_to_cage(cls)
-    if seed is None:
-        raise ConstructionError(f"no rot_1 power up to 5 reaches the cage mod {cls.p}")
-    n0, anchor = seed
-    stages = [Stage(SEED_STAGE, ((1, n0),) if n0 else (), anchor)]
+def cage_route(target: Triple, cls: Classifier) -> List[Stage]:
+    """Stages from (1,1,1) to a cage point: the seed's way into the cage,
+    reversed, then conic walks."""
+    anchor, out = _into_cage(SEED, cls)
+    leg = PathWord.from_steps(s for stage in out for s in stage.steps).inverse()
+    stages = [Stage(SEED_STAGE, leg.steps, anchor)]
     if target == anchor:
         return stages
     steps = cage_connect(anchor, target, cls)
@@ -365,45 +353,47 @@ def parabolic_exit(x: Triple, i: int, cls: Classifier) -> Tuple[int, Triple]:
     raise ConstructionError(f"parabolic orbit of {x} mod {p} moves no coordinate")
 
 
-def _constructive_stages(x: Triple, cls: Classifier) -> List[Stage]:
-    """Dispatch on how far x is from the cage; raises ConstructionError on any miss."""
+def _into_cage(x: Triple, cls: Classifier) -> Tuple[Triple, List[Stage]]:
+    """A cage point w and the stages from w out to x; dispatches on how far x
+    is from the cage and raises ConstructionError on any miss."""
     p = cls.p
     if is_maximal(x, cls):
-        return cage_route(x, cls)
+        return x, []
 
     i = parabolic_axis(x, cls)
     if i is not None:
         k, w = parabolic_exit(x, i, cls)
-        stages = cage_route(w, cls)
-        stages.append(Stage(PARABOLIC_HOP, ((i, _signed(-k, p)),), x))
-        return stages
+        return w, [Stage(PARABOLIC_HOP, ((i, _signed(-k, p)),), x)]
 
     if point_order(x, cls) ** 2 > p:
         hit = scan_to_cage(x, cls)
         if hit is None:
             raise ConstructionError(f"no cage point found on the orbits of {x} mod {p}")
         ax, n, w = hit
-        stages = cage_route(w, cls)
-        stages.append(Stage(CAGE_ENTRY, ((ax, -n),), x))
-        return stages
+        return w, [Stage(CAGE_ENTRY, ((ax, -n),), x)]
 
     moves = climb_orders(x, cls)
     if moves is None:
         raise ConstructionError(f"order climb stalled at {x} mod {p}")
-    stages = _constructive_stages(moves[-1][2], cls)
+    w, out = _into_cage(moves[-1][2], cls)
     back = [x] + [m[2] for m in moves[:-1]]
     for (ax, n, _), prev in zip(reversed(moves), reversed(back)):
-        stages.append(Stage(ORDER_CLIMB, ((ax, -n),), prev))
-    return stages
+        out.append(Stage(ORDER_CLIMB, ((ax, -n),), prev))
+    return w, out
 
 
-def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None,
-                   graph=None, allow_fallback: bool = True) -> CagePath:
+def _constructive_stages(x: Triple, cls: Classifier) -> List[Stage]:
+    """Seed leg, cage hop, then the stages from the cage out to x."""
+    w, out = _into_cage(x, cls)
+    return cage_route(w, cls) + out
+
+
+def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None) -> CagePath:
     """Rotation word taking (1,1,1) to the target mod p, with its stage trace.
 
-    Constructive failures fall back to a BFS shortest path when allowed
-    (used_fallback then reports True); the produced word is always replayed
-    against the target before returning."""
+    Constructive failures fall back to a BFS shortest path (used_fallback then
+    reports True); the produced word is always replayed against the target
+    before returning."""
     if cls is None:
         cls = Classifier(p)
     x = check_point(tuple(c % p for c in target), p)
@@ -414,9 +404,7 @@ def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None,
     try:
         stages = _constructive_stages(x, cls)
     except ConstructionError:
-        if not allow_fallback:
-            raise
-        stages = [_bfs_fallback_stage(p, x, graph)]
+        stages = [_bfs_fallback_stage(p, x)]
         used_fallback = True
 
     word = PathWord.from_steps(s for stage in stages for s in stage.steps)
@@ -425,10 +413,10 @@ def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None,
     return CagePath(p, x, word, tuple(stages), used_fallback)
 
 
-def _bfs_fallback_stage(p: int, target: Triple, graph) -> Stage:
+def _bfs_fallback_stage(p: int, target: Triple) -> Stage:
     from .graph import SurfaceGraph, bfs, word_to
 
-    g = graph if graph is not None else SurfaceGraph.build(p)
+    g = SurfaceGraph.build(p)
     tree = bfs(g, g.id_of(SEED))
     word = word_to(tree, g.id_of(target))
     return Stage(BFS_FALLBACK, word.steps, target)

@@ -73,7 +73,7 @@ def _coords(p):
 
 def test_criterion_01_table_reproduction():
     t0 = time.perf_counter()
-    rows = paths.seed_table(PRIMES_199, min_n=1)
+    rows = paths.seed_table(PRIMES_199)
     got = []
     for p, n, pts in rows:
         walk = ", ".join(f"({a},{b},{c})" for a, b, c in pts)

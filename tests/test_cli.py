@@ -178,6 +178,27 @@ def test_exit_code_cap_refusals(capsys):
     assert run_cli(capsys, "bounds", "-p", "251", "--cap-spectral", "200")[0] == 3
 
 
+def test_connectivity_refuses_past_int32_vertex_ids(capsys, monkeypatch):
+    # 46349 is the least prime whose vertex count overflows int32 ids; the
+    # refusal must come before any enumeration, whatever --cap-enum says.
+    def refuse(p):
+        raise AssertionError("enumerated past the int32 id limit")
+
+    monkeypatch.setattr(graph, "surface_arrays", refuse)
+    code, out, err = run_cli(capsys, "connectivity", "-p", "46349", "--cap-enum", "100000")
+    assert code == 3 and out == "" and "int32" in err
+
+
+def test_path_route_past_enumeration_cap(capsys):
+    # No rot_1 power up to 5 puts (1,1,1) in the cage mod 3121, and the
+    # graph is too large to enumerate, so only the constructive seed leg
+    # can answer.
+    code, out, _ = run_cli(capsys, "path", "-p", "3121", "--to", "1,2,5")
+    assert code == 0
+    word = PathWord.parse(out)
+    assert oracles.replay_mod(word.steps, 3121) == (1, 2, 5)
+
+
 def test_byte_identical_reruns(capsys):
     first = run_cli(capsys, "cage-stats", "--primes", "5..31")
     second = run_cli(capsys, "cage-stats", "--primes", "5..31")

@@ -47,6 +47,16 @@ def test_build_checks_and_lookup_roundtrip():
         SurfaceGraph.build(31, cap=29)
 
 
+def test_build_refuses_past_int32_vertex_ids(monkeypatch):
+    def refuse(p):
+        raise AssertionError("enumerated past the int32 id limit")
+
+    monkeypatch.setattr(graph, "surface_arrays", refuse)
+    assert graph.vertex_count_formula(46337) < 2 ** 31 <= graph.vertex_count_formula(46349)
+    with pytest.raises(CapExceeded, match="int32"):
+        SurfaceGraph.build(46349, cap=10 ** 6)
+
+
 def test_adjacency_matches_rotations():
     for p in (11, 29):
         g = SurfaceGraph.build(p)

@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from markoff import paths
-from markoff.core import Classifier, on_surface, rotation_power
+from markoff.core import Classifier, is_maximal, on_surface, point_order, rotation_power
 from markoff.errors import DomainError
+from markoff.field import is_probable_prime
 from markoff.graph import SurfaceGraph
 from markoff.paths import (
     CagePath,
@@ -19,7 +20,6 @@ from markoff.paths import (
     parabolic_exit,
     scan_to_cage,
     seed_table,
-    seed_to_cage,
 )
 
 
@@ -32,20 +32,41 @@ def _replay_stages(stages, p):
     return x
 
 
-def test_seed_to_cage_known_primes():
-    assert seed_to_cage(Classifier(29)) == (2, (1, 2, 5))
-    assert seed_to_cage(Classifier(113)) == (5, (1, 34, 89))
-    # table convention: at least one step, even when (1,1,1) is already caged
-    assert seed_to_cage(Classifier(97), min_n=1) == (1, (1, 1, 2))
+def test_seed_table_known_primes():
+    (row29, row113) = seed_table([29, 113])
+    assert row29 == (29, 2, ((1, 1, 1), (1, 1, 2), (1, 2, 5)))
+    assert row113[1] == 5 and row113[2][-1] == (1, 34, 89)
 
 
-def test_seed_to_cage_min_n_one_matches_table_convention():
-    # (1,1,1) itself is already in the cage mod 5, 13 and 97, so the least
-    # n >= 0 is 0 there; the published walk always takes at least one step.
+def test_seed_table_steps_even_when_seed_is_caged():
+    # (1,1,1) itself is already in the cage mod 5, 13 and 97, so its route
+    # leg is empty; the published walk always takes at least one step.
     for p in (5, 13, 97):
         cls = Classifier(p)
-        assert seed_to_cage(cls) == (0, (1, 1, 1))
-        assert seed_to_cage(cls, min_n=1) == (1, (1, 1, 2))
+        assert is_maximal(SEED, cls)
+        assert cage_route(SEED, cls) == [paths.Stage("seed", (), SEED)]
+        assert seed_table([p]) == [(p, 1, ((1, 1, 1), (1, 1, 2)))]
+
+
+def test_seed_leg_is_constructive_below_20000():
+    # The seed enters the cage like any other point: no prime needs the
+    # fallback for it, including the 139 where no rot_1 power up to 5 is
+    # caged (263, 353, 449, ...).  Where that walk hits and (1,1,1) has
+    # order above sqrt(p), the orbit scan finds the same step count.
+    primes = [p for p in range(5, 20000) if is_probable_prime(p)]
+    misses = 0
+    for p, n, _ in seed_table(primes):
+        cls = Classifier(p)
+        anchor, _ = paths._into_cage(SEED, cls)
+        (leg,) = cage_route(anchor, cls)
+        assert leg.tag == "seed" and is_maximal(anchor, cls), p
+        assert _replay_stages([leg], p) == anchor
+        if is_maximal(SEED, cls):
+            assert leg.steps == (), p
+        elif n is not None and point_order(SEED, cls) ** 2 > p:
+            assert leg.steps == ((1, n),), p
+        misses += n is None
+    assert misses == 139
 
 
 def test_seed_table_rows():
@@ -342,9 +363,8 @@ def test_construct_path_parabolic_route():
 
 def test_bfs_fallback_stage_replays():
     p = 17
-    g = SurfaceGraph.build(p)
     target = oracles.surface_points(p)[41]
-    stage = paths._bfs_fallback_stage(p, target, g)
+    stage = paths._bfs_fallback_stage(p, target)
     assert stage.tag == "bfs-fallback"
     assert oracles.replay_mod(stage.steps, p) == target
 
@@ -363,8 +383,10 @@ def test_degenerate_zero_value_target_mod_5():
 
 def test_construct_path_matches_golden_words():
     # p x1,x2,x3 word: 3 targets per prime 5..1100 and 20 at p = 2017, drawn
-    # uniformly from X*(p) with random.Random(p); seed-miss primes take the
-    # BFS fallback.  Recorded before the conic mesh was removed.
+    # uniformly from X*(p) with random.Random(p).  Recorded before the conic
+    # mesh was removed; the lines at 263..1039 where no rot_1 power up to 5
+    # reaches the cage, and at 521 where (1,1,1) climbs, were re-recorded
+    # when the seed began entering the cage like any other point.
     lines = (Path(__file__).parent / "golden" / "route_words.txt").read_text().splitlines()
     cls = None
     for line in lines:
@@ -372,9 +394,9 @@ def test_construct_path_matches_golden_words():
         p = int(p_text)
         if cls is None or cls.p != p:
             cls = Classifier(p)
-            graph = SurfaceGraph.build(p) if seed_to_cage(cls) is None else None
         x = tuple(int(c) for c in x_text.split(","))
-        assert str(construct_path(p, x, cls=cls, graph=graph).word) == want, line
+        path = construct_path(p, x, cls=cls)
+        assert str(path.word) == want and not path.used_fallback, line
 
 
 def test_construct_path_never_sweeps_maximal_values(monkeypatch):
@@ -384,9 +406,9 @@ def test_construct_path_never_sweeps_maximal_values(monkeypatch):
     monkeypatch.setattr(Classifier, "maximal_values", refuse)
     cls = Classifier(31)
     for x in oracles.surface_points(31):
-        construct_path(31, x, cls=cls, allow_fallback=False)
+        assert not construct_path(31, x, cls=cls).used_fallback
     for p in (199, 2017):
         cls = Classifier(p)
         rng = random.Random(p)
         for _ in range(40):
-            construct_path(p, _random_point(rng, p), cls=cls, allow_fallback=False)
+            assert not construct_path(p, _random_point(rng, p), cls=cls).used_fallback
