@@ -1,0 +1,81 @@
+"""sha256 digests of `markoff` stdout, for checking that a change keeps output.
+
+    PYTHONPATH=src python tests/digests.py [NAME ...]
+
+prints `<sha256>  <NAME>` for each NAME (default: all, in the order below).
+Each digest hashes the stdout of the listed CLI runs, concatenated in order:
+
+    seed-paths         seed-paths --primes 5..199
+    cage-stats         cage-stats --primes 5..300
+    connectivity       connectivity --primes 5..199
+    bounds             bounds --primes 5..199
+    export-dot         export -p 31 --format dot
+    export-csv         export -p 31 --format csv
+    criterion-10-path  path -p P --to X for each criterion-10 target
+    criterion-10-lift  lift -p P --to X --cap-digits 10000, same targets
+
+The criterion-10 targets are those of test_criterion_10_path_soundness: all
+868 points of X*(31), then 500 per prime 5..199 drawn from random.Random(10),
+22868 in all.  The lift digest takes a few minutes.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import oracles  # noqa: E402
+from markoff import cli  # noqa: E402
+from test_acceptance import PRIMES_199, _random_point  # noqa: E402
+
+
+def criterion_10_targets():
+    for x in oracles.surface_points(31):
+        yield 31, x
+    rng = random.Random(10)
+    for p in PRIMES_199:
+        small = oracles.surface_points(p) if p <= 31 else None
+        for _ in range(500):
+            yield p, (rng.choice(small) if small else _random_point(rng, p))
+
+
+def _per_target(command, *extra):
+    for p, x in criterion_10_targets():
+        yield [command, "-p", str(p), "--to", ",".join(map(str, x)), *extra]
+
+
+RUNS = {
+    "seed-paths": lambda: [["seed-paths", "--primes", "5..199"]],
+    "cage-stats": lambda: [["cage-stats", "--primes", "5..300"]],
+    "connectivity": lambda: [["connectivity", "--primes", "5..199"]],
+    "bounds": lambda: [["bounds", "--primes", "5..199"]],
+    "export-dot": lambda: [["export", "-p", "31", "--format", "dot"]],
+    "export-csv": lambda: [["export", "-p", "31", "--format", "csv"]],
+    "criterion-10-path": lambda: _per_target("path"),
+    "criterion-10-lift": lambda: _per_target("lift", "--cap-digits", "10000"),
+}
+
+
+def digest(name: str) -> str:
+    h = hashlib.sha256()
+    for argv in RUNS[name]():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"markoff {' '.join(argv)} exited {code}")
+        h.update(buf.getvalue().encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:] or list(RUNS)
+    unknown = [n for n in names if n not in RUNS]
+    if unknown:
+        raise SystemExit(f"unknown digest {unknown}; choose from {list(RUNS)}")
+    for name in names:
+        print(f"{digest(name)}  {name}", flush=True)

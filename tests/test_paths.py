@@ -6,7 +6,7 @@ import pytest
 import oracles
 from markoff import paths
 from markoff.core import Classifier, is_maximal, on_surface, point_order, rotation_power
-from markoff.errors import DomainError
+from markoff.errors import ConstructionError, DomainError
 from markoff.field import is_probable_prime
 from markoff.graph import SurfaceGraph
 from markoff.paths import (
@@ -367,6 +367,20 @@ def test_bfs_fallback_stage_replays():
     stage = paths._bfs_fallback_stage(p, target)
     assert stage.tag == "bfs-fallback"
     assert oracles.replay_mod(stage.steps, p) == target
+
+
+def test_construct_path_falls_back_when_the_route_fails(monkeypatch):
+    # No prime below 20000 fails constructively, so force the failure: the
+    # BFS stage then carries the whole word and the path says it fell back.
+    def refuse(x, cls):
+        raise ConstructionError("forced")
+
+    monkeypatch.setattr(paths, "_constructive_stages", refuse)
+    p = 17
+    target = oracles.surface_points(p)[41]
+    path = construct_path(p, target)
+    assert path.used_fallback and path.stage_tags() == ("bfs-fallback",)
+    assert oracles.replay_mod(path.word.steps, p) == target
 
 
 def test_degenerate_zero_value_target_mod_5():
