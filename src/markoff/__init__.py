@@ -16,7 +16,7 @@ integer lifts with size bounds.  Submodules:
 from .core import (Classifier, CoordClass, check_point, fibonacci,
                    fibonacci_form, is_maximal, lucas_pair, maximal_index,
                    on_surface, point_order, rot, rot_inv, rotation_order,
-                   rotation_power, vieta)
+                   rotation_power)
 from .errors import CapExceeded, ConstructionError, DomainError
 from .graph import SurfaceGraph, connectivity_check, spectral_gap
 from .lifts import (LiftTriple, bound_report, construction_exponent,
@@ -35,5 +35,5 @@ __all__ = [
     "growth_bound_ln", "is_maximal", "lucas_pair", "maximal_index",
     "minimal_lift_search", "on_surface", "parabolic_exponent", "point_order",
     "replay_integer", "rot", "rot_inv", "rotation_order", "rotation_power",
-    "scan_to_cage", "seed_table", "spectral_gap", "vieta", "__version__",
+    "scan_to_cage", "seed_table", "spectral_gap", "__version__",
 ]

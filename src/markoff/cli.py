@@ -230,12 +230,7 @@ def cmd_export(args) -> int:
         raise DomainError("export needs -p")
     p = field.require_odd_prime(args.prime)
     g = SurfaceGraph.build(p, cap=args.cap_enum)
-    if args.format == "dot":
-        _emit(list(to_dot(g)), args.out)
-    elif args.format == "csv":
-        _emit(list(vertex_csv(g)), args.out)
-    else:
-        raise DomainError(f"export format must be dot or csv, got {args.format!r}")
+    _emit(list(to_dot(g) if args.format == "dot" else vertex_csv(g)), args.out)
     return 0
 
 
@@ -275,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target point, coordinates in [0, p)")
     common.add_argument("--method", choices=("route", "bfs"), default="route",
                         help="path construction: cage routing or graph BFS")
-    common.add_argument("--format", choices=("csv", "dot", "text"), default="text")
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized iterations")
@@ -288,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, **extra):
+    def add(name, fn, help_text):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, kw in extra.items():
-            cmd.add_argument(flag, **kw)
         cmd.set_defaults(fn=fn)
         return cmd
 
@@ -299,16 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
         "first-axis walks from (1,1,1) into the cage, one line per prime")
     add("cage-stats", cmd_cage_stats,
         "CSV of cage membership counts and share per prime")
-    level = sub.add_parser("level-dist", parents=[common],
-                           help="histogram CSV of ln sizes at one tree level")
+    level = add("level-dist", cmd_level_dist, "histogram CSV of ln sizes at one tree level")
     level.add_argument("--level", type=int, required=True)
     level.add_argument("--bins", type=int, default=40)
-    level.set_defaults(fn=cmd_level_dist)
     add("path", cmd_path, "rotation word from (1,1,1) to --to")
     add("lift", cmd_lift, "integer lift of --to along the constructed word")
     add("classify", cmd_classify, "per-coordinate class, order, and cage membership")
     add("connectivity", cmd_connectivity, "component check per prime (exit 4 if split)")
-    add("export", cmd_export, "whole-graph export, --format dot or csv")
+    export = add("export", cmd_export, "whole-graph export, --format dot or csv")
+    export.add_argument("--format", choices=("dot", "csv"), default="dot")
     add("bounds", cmd_bounds, "CSV of evaluated size-bound exponents per prime")
     return parser
 

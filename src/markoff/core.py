@@ -42,8 +42,6 @@ PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
 ELLIPTIC = "elliptic"
 
-AXES = (1, 2, 3)
-
 # 0-based positions of the pair moved by each rotation, ascending.
 _MOVED = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
 
@@ -62,21 +60,8 @@ def is_valid_point(x: Triple, p: int) -> bool:
     )
 
 
-def vieta(x: Triple, i: int, p: int) -> Triple:
-    """Flip coordinate i (1-based) to the other root of its quadratic."""
-    t = list(x)
-    j, k = (m for m in (0, 1, 2) if m != i - 1)
-    t[i - 1] = (3 * t[j] * t[k] - t[i - 1]) % p
-    return (t[0], t[1], t[2])
-
-
-def transpose(x: Triple, i: int, j: int) -> Triple:
-    t = list(x)
-    t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
-    return (t[0], t[1], t[2])
-
-
 def rot(x: Triple, i: int, p: int) -> Triple:
+    """rot_i(x); the coordinates may also be int64 numpy arrays, as in graph."""
     x1, x2, x3 = x
     if i == 1:
         return (x1, x3, (3 * x1 * x3 - x2) % p)

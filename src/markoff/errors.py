@@ -15,4 +15,5 @@ class ConstructionError(RuntimeError):
 
 
 class CapExceeded(RuntimeError):
-    """A resource cap (enumeration size, spectral size, digit budget) says no."""
+    """A resource cap (enumeration size, int32 vertex ids, spectral size) says
+    no.  The lift digit cap never refuses: past it a replay tracks logs."""

@@ -2,11 +2,14 @@
 
 Enumeration solves the surface equation as a quadratic in x3 for every
 (x1, x2) pair, so building the vertex set costs O(p^2) with vectorized
-chunks.  Vertices are identified with their sorted lexicographic keys
-(x1*p + x2)*p + x3; adjacency is a dense N x 6 id array whose columns are, in
-this fixed order, rot1, rot1^-1, rot2, rot2^-1, rot3, rot3^-1.  That column
-order is also the BFS tie-break, which makes extracted shortest paths
-deterministic.
+chunks.  Vertex ids follow the sorted lexicographic keys (x1*p + x2)*p + x3.
+A pair owns at most two vertices, the roots c and 3*x1*x2 - c, so a point's
+id is first[x1*p + x2] plus one for the larger root, read off a p^2-entry
+offset table without any search.  Adjacency is a dense N x 6 id array: the
+columns are core.rot/rot_inv applied to the coordinate columns, in this fixed
+order, rot1, rot1^-1, rot2, rot2^-1, rot3, rot3^-1.  That column order is
+also the BFS tie-break, which makes extracted shortest paths deterministic;
+components are repeated BFS.
 
 Vertex counts obey |X*(p)| = p^2 + 3p for p = 1 (mod 4) and p^2 - 3p for
 p = 3 (mod 4); construction checks this and that every rotation image lands
@@ -21,7 +24,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from . import field
-from .core import Classifier, Triple, is_maximal, point_order
+from .core import Classifier, Triple, is_maximal, point_order, rot, rot_inv
 from .errors import CapExceeded, ConstructionError, DomainError
 from .words import PathWord
 
@@ -29,6 +32,7 @@ DEFAULT_ENUM_CAP = 3000
 DEFAULT_SPECTRAL_CAP = 200
 
 DEGREE = 6  # half-edges per vertex: three rotations, both directions
+BLOCK = 1 << 16  # vertices per vectorized adjacency step; bounds the int64 temporaries
 
 # column -> (axis, sign); fixed exploration/tie-break order
 COLUMN_MOVES = ((1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1))
@@ -79,6 +83,7 @@ class SurfaceGraph:
     keys: np.ndarray               # sorted int64, length N
     coords: np.ndarray             # N x 3 int32
     adj: np.ndarray                # N x 6 int32, columns per COLUMN_MOVES
+    first: np.ndarray              # p^2 int32: id of the first vertex with pair x1*p + x2
 
     @classmethod
     def build(cls, p: int, cap: int = DEFAULT_ENUM_CAP) -> "SurfaceGraph":
@@ -93,28 +98,41 @@ class SurfaceGraph:
         n = len(keys)
         if n != want:
             raise ConstructionError(f"vertex count {n} != formula {want} at p = {p}")
-        x3 = keys % p
-        x2 = (keys // p) % p
-        x1 = keys // (p * p)
-        coords = np.stack([x1, x2, x3], axis=1).astype(np.int32)
-        adj = np.empty((n, DEGREE), dtype=np.int32)
-        for col, (axis, sign) in enumerate(COLUMN_MOVES):
-            nk = _neighbor_keys(x1, x2, x3, axis, sign, p)
-            ids = np.searchsorted(keys, nk)
-            if not bool(np.all(keys[ids] == nk)):
-                raise ConstructionError("rotation image left the vertex set")
-            adj[:, col] = ids
-        return cls(p=p, keys=keys, coords=coords, adj=adj)
+        pairs = keys // p
+        first = np.zeros(p * p, dtype=np.int32)
+        np.cumsum(np.bincount(pairs, minlength=p * p)[:-1], out=first[1:])
+        coords = np.empty((n, 3), dtype=np.int32)
+        coords[:, 0], coords[:, 1], coords[:, 2] = pairs // p, pairs % p, keys % p
+        del pairs
+        g = cls(p=p, keys=keys, coords=coords, first=first,
+                adj=np.empty((n, DEGREE), dtype=np.int32))
+        for lo in range(0, n, BLOCK):
+            x = tuple(coords[lo:lo + BLOCK].T.astype(np.int64))
+            for col, (axis, sign) in enumerate(COLUMN_MOVES):
+                ids, hit = g._lookup(*(rot if sign > 0 else rot_inv)(x, axis, p))
+                if not bool(hit.all()):
+                    raise ConstructionError("rotation image left the vertex set")
+                g.adj[lo:lo + BLOCK, col] = ids
+        return g
+
+    def _lookup(self, x1, x2, x3):
+        """(ids, hit) for reduced coordinates, scalars or arrays; hit is False
+        where the point is not a vertex.  A pair's two vertices are adjacent
+        in id order, so the larger x3 root sits one past first[x1*p + x2]."""
+        p = self.p
+        pair = x1 * p + x2
+        ids = self.first[pair] + (x3 > (3 * x1 * x2 - x3) % p)
+        return ids, self.keys.take(ids, mode="clip") == pair * p + x3
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def id_of(self, x: Triple) -> int:
-        key = (x[0] * self.p + x[1]) * self.p + x[2]
-        i = int(np.searchsorted(self.keys, key))
-        if i >= len(self.keys) or self.keys[i] != key:
-            raise DomainError(f"{x} is not a vertex mod {self.p}")
-        return i
+        if all(0 <= c < self.p for c in x):
+            vid, hit = self._lookup(*x)
+            if hit:
+                return int(vid)
+        raise DomainError(f"{x} is not a vertex mod {self.p}")
 
     def point_of(self, vid: int) -> Triple:
         c = self.coords[vid]
@@ -133,25 +151,6 @@ class SurfaceGraph:
             out.append(cur)
             cur = int(self.adj[cur, col])
         return out
-
-
-def _neighbor_keys(x1, x2, x3, axis: int, sign: int, p: int) -> np.ndarray:
-    if axis == 1:
-        if sign > 0:
-            a, b, c = x1, x3, (3 * x1 * x3 - x2) % p
-        else:
-            a, b, c = x1, (3 * x1 * x2 - x3) % p, x2
-    elif axis == 2:
-        if sign > 0:
-            a, b, c = x3, x2, (3 * x2 * x3 - x1) % p
-        else:
-            a, b, c = (3 * x1 * x2 - x3) % p, x2, x1
-    else:
-        if sign > 0:
-            a, b, c = x2, (3 * x2 * x3 - x1) % p, x3
-        else:
-            a, b, c = (3 * x1 * x3 - x2) % p, x1, x3
-    return (a * p + b) * p + c
 
 
 @dataclass
@@ -238,26 +237,13 @@ class ComponentReport:
 
 
 def components(g: SurfaceGraph) -> ComponentReport:
-    n = len(g)
-    visited = np.zeros(n, dtype=bool)
+    """Component sizes from repeated BFS, each rooted at the lowest unreached id."""
+    reached = np.zeros(len(g), dtype=bool)
     sizes = []
-    seed = 0
-    while True:
-        while seed < n and visited[seed]:
-            seed += 1
-        if seed >= n:
-            break
-        count = 1
-        visited[seed] = True
-        frontier = np.array([seed], dtype=np.int32)
-        while len(frontier):
-            cand = g.adj[frontier].ravel()
-            cand = cand[~visited[cand]]
-            cand = np.unique(cand)
-            visited[cand] = True
-            count += len(cand)
-            frontier = cand
-        sizes.append(count)
+    while not reached.all():
+        hit = bfs(g, int(reached.argmin())).depth >= 0
+        reached |= hit
+        sizes.append(int(hit.sum()))
     sizes.sort(reverse=True)
     return ComponentReport(p=g.p, sizes=sizes)
 
@@ -271,7 +257,6 @@ class SpectralReport:
     lam2: float        # second-largest adjacency eigenvalue (estimate)
     residual: float    # ||A v - theta v|| at the accepted iterate
     iterations: int
-    converged: bool
 
     @property
     def h_lower(self) -> float:
@@ -279,39 +264,30 @@ class SpectralReport:
         return (DEGREE - (self.lam2 + self.residual)) / 2
 
 
-def _lanczos_second(adj: np.ndarray, tol: float, seed: int) -> SpectralReport:
+def spectral_gap(g: SurfaceGraph, seed: int = 0,
+                 cap: int = DEFAULT_SPECTRAL_CAP) -> SpectralReport:
     """lambda_2 via ARPACK on the gather-based matvec; deterministic start."""
+    if g.p > cap:
+        raise CapExceeded(f"spectral cap {cap} refuses p = {g.p}")
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    n, d = adj.shape
+    n = len(g)
     calls = [0]
 
     def matvec(x):
         calls[0] += 1
-        return x.ravel()[adj].sum(axis=1)
+        return x.ravel()[g.adj].sum(axis=1)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        vals, vecs = eigsh(op, k=2, which="LA", tol=tol, v0=v0)
+        vals, vecs = eigsh(op, k=2, which="LA", tol=1e-8, v0=v0)
     except ArpackNoConvergence:
-        return SpectralReport(lam2=float("nan"), residual=float("inf"),
-                              iterations=calls[0], converged=False)
+        raise ConstructionError(f"eigenvalue iteration did not converge for p = {g.p}")
     lam2 = float(vals[0])
     v = vecs[:, 0]
     resid = float(np.linalg.norm(matvec(v) - lam2 * v))
-    return SpectralReport(lam2=lam2, residual=resid,
-                          iterations=calls[0], converged=True)
-
-
-def spectral_gap(g: SurfaceGraph, tol: float = 1e-8, seed: int = 0,
-                 cap: int = DEFAULT_SPECTRAL_CAP) -> SpectralReport:
-    if g.p > cap:
-        raise CapExceeded(f"spectral cap {cap} refuses p = {g.p}")
-    rep = _lanczos_second(g.adj, tol=tol, seed=seed)
-    if not rep.converged:
-        raise ConstructionError(f"eigenvalue iteration did not converge for p = {g.p}")
-    return rep
+    return SpectralReport(lam2=lam2, residual=resid, iterations=calls[0])
 
 
 def to_dot(g: SurfaceGraph) -> Iterator[str]:

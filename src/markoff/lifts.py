@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from . import field
-from .errors import CapExceeded, DomainError
+from .errors import DomainError
 from .words import PathWord
 
 Triple = Tuple[int, int, int]
@@ -121,17 +121,13 @@ class LiftTriple:
         return (self.coords[0] % p, self.coords[1] % p, self.coords[2] % p)
 
 
-def replay_integer(word: PathWord, start: Triple = SEED,
-                   digit_cap: int = DEFAULT_DIGIT_CAP,
-                   exact_only: bool = False) -> LiftTriple:
-    """Apply a rotation word to a positive integer triple, exactly while the
-    coordinates stay under digit_cap decimal digits, in log-domain after.
-
-    The switch-over clears the exactness flag; with exact_only the cap raises
-    CapExceeded instead.
+def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTriple:
+    """Apply a rotation word to (1, 1, 1), exactly while the coordinates stay
+    under digit_cap decimal digits, in log-domain after; the switch-over
+    clears the exactness flag.
     """
     cap_bits = max(64, int(digit_cap * LN10 / LN2))
-    cur: Optional[Triple] = start
+    cur: Optional[Triple] = SEED
     logs: Optional[Tuple[float, float, float]] = None
     exact = True
     for axis, n in word.steps:
@@ -140,10 +136,6 @@ def replay_integer(word: PathWord, start: Triple = SEED,
             if exact:
                 cur = _rot_int(cur, axis) if sign > 0 else _rot_inv_int(cur, axis)
                 if max(cur).bit_length() > cap_bits:
-                    if exact_only:
-                        raise CapExceeded(
-                            f"lift outgrew {digit_cap} digits replaying {word}"
-                        )
                     logs = tuple(ln_big(c) for c in cur)
                     cur, exact = None, False
             else:
@@ -183,14 +175,12 @@ def parabolic_exponent(p: int) -> int:
     return 20 * (2 * p + 1) ** 2
 
 
-def climb_exponent_ln(p: int, t: Optional[int] = None) -> float:
-    """ln of 96(2p+1)^(4+t/2), the order-climb route exponent.
-
-    t defaults to the divisor count of p^2 - 1, the cap on how many strict
-    order increases a climb can make.
+def climb_exponent_ln(p: int) -> float:
+    """ln of 96(2p+1)^(4+t/2), the order-climb route exponent, where t is
+    the divisor count of p^2 - 1, the cap on how many strict order increases
+    a climb can make.
     """
-    if t is None:
-        t = field.tau(p * p - 1)
+    t = field.tau(p * p - 1)
     return math.log(96) + (4 + t / 2) * math.log(2 * p + 1)
 
 
@@ -207,8 +197,7 @@ def expander_alpha_ln(p: int, h: float, quadratic: bool = False) -> float:
     return 20 * math.log(base) / math.log1p(h / 3)
 
 
-def bound_covers(ln_size: float, exponent_ln: float,
-                 rel_guard: float = REL_GUARD) -> Optional[bool]:
+def bound_covers(ln_size: float, exponent_ln: float) -> Optional[bool]:
     """Does a size bound (3*eps)^E with ln E = exponent_ln cover ln_size?
 
     Returns None when the two sides agree to within the relative guard band
@@ -222,7 +211,7 @@ def bound_covers(ln_size: float, exponent_ln: float,
     if math.isinf(bound_ln):
         return True
     scale = max(abs(ln_size), abs(bound_ln), 1.0)
-    if abs(ln_size - bound_ln) <= rel_guard * scale:
+    if abs(ln_size - bound_ln) <= REL_GUARD * scale:
         return None
     return ln_size < bound_ln
 

@@ -137,6 +137,7 @@ def test_export_dot_and_csv(capsys, tmp_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "graph markoff_5 {" and lines[-1] == "}"
+    assert run_cli(capsys, "export", "-p", "5") == (0, out, "")
     dest = tmp_path / "g.csv"
     code, out, _ = run_cli(capsys, "export", "-p", "5", "--format", "csv",
                            "--out", str(dest))
@@ -144,6 +145,14 @@ def test_export_dot_and_csv(capsys, tmp_path):
     rows = dest.read_text().strip().splitlines()
     assert rows[0] == graph.VERTEX_CSV_HEADER
     assert len(rows) == 1 + graph.vertex_count_formula(5)
+
+
+def test_connectivity_exit_4_when_disconnected(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "connectivity_check",
+                        lambda p, cap: graph.ComponentReport(p, [30, 10]))
+    code, out, _ = run_cli(capsys, "connectivity", "-p", "5")
+    assert code == 4
+    assert out == "p=5: disconnected, 40 vertices in components 30 10\n"
 
 
 def test_bounds_row(capsys):

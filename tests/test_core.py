@@ -39,17 +39,6 @@ def test_rotations_preserve_surface():
                 assert core.on_surface(core.rot(x, i, p), p)
 
 
-def test_vieta_is_involution_and_transpose_symmetry():
-    rng = random.Random(5)
-    p = 31
-    pts = oracles.surface_points(p)
-    for x in rng.sample(pts, 50):
-        for i in (1, 2, 3):
-            assert core.vieta(core.vieta(x, i, p), i, p) == x
-            assert core.on_surface(core.vieta(x, i, p), p)
-        assert core.transpose(core.transpose(x, 1, 3), 1, 3) == x
-
-
 def test_lucas_pair_matches_stepwise_recurrence():
     rng = random.Random(2)
     for _ in range(300):

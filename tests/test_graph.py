@@ -1,11 +1,12 @@
 """Graph engine against the triple-loop oracle, plus BFS, spectral, exports."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from markoff import graph
+from markoff import field, graph
 from markoff.core import Classifier, is_maximal, rot, rot_inv
 from markoff.errors import CapExceeded, DomainError
 from markoff.graph import SurfaceGraph, bfs, components, shortest_path, word_to
@@ -37,14 +38,25 @@ def test_build_checks_and_lookup_roundtrip():
     g = SurfaceGraph.build(31)
     # 31 = 3 mod 4, so the count is p^2 - 3p
     assert len(g) == 31 * 31 - 3 * 31 == 868
-    rng = random.Random(3)
-    for _ in range(50):
-        vid = rng.randrange(len(g))
+    for vid in range(len(g)):
         assert g.id_of(g.point_of(vid)) == vid
-    with pytest.raises(DomainError):
-        g.id_of((1, 1, 3))
+    # out of range, the excluded zero triple, off the surface
+    for x in ((31, 0, 0), (0, 0, 0), (1, 1, 3)):
+        with pytest.raises(DomainError):
+            g.id_of(x)
     with pytest.raises(CapExceeded):
         SurfaceGraph.build(31, cap=29)
+
+
+def test_adjacency_and_coords_digest_primes_to_199():
+    # sha256 of adj then coords, little-endian int32, primes 5..199 ascending
+    h = hashlib.sha256()
+    for p in range(5, 200):
+        if field.is_probable_prime(p):
+            g = SurfaceGraph.build(p)
+            h.update(g.adj.astype("<i4").tobytes())
+            h.update(g.coords.astype("<i4").tobytes())
+    assert h.hexdigest() == "5c8eb934c4b82780c12270b21aa34162c64c16fd9abe80ac13402eb8736e16b6"
 
 
 def test_build_refuses_past_int32_vertex_ids(monkeypatch):
@@ -218,6 +230,16 @@ def test_components_connected_small_primes():
         assert rep.connected
         assert rep.vertices == graph.vertex_count_formula(p)
     assert graph.connectivity_check(31).sizes == [868]
+
+
+def test_components_counts_each_copy_of_a_doubled_graph():
+    g = SurfaceGraph.build(5)
+    n = len(g)
+    twice = SurfaceGraph(p=5, keys=np.concatenate([g.keys, g.keys]),
+                         coords=np.vstack([g.coords, g.coords]),
+                         adj=np.vstack([g.adj, g.adj + n]), first=g.first)
+    rep = components(twice)
+    assert rep.sizes == [40, 40] and not rep.connected and rep.vertices == 80
 
 
 def test_spectral_gap_matches_dense_eigensolver_p31():
