@@ -4,8 +4,8 @@ Every subcommand is a thin wrapper over the library: table and figure data
 come out as text or CSV on stdout (or --out), never as images.  Range
 commands iterate primes in increasing order and assemble output in that
 order regardless of worker count, so a fixed invocation gives byte-identical
-output.  MARKOFF_THREADS sets the worker count for ranges; the default is 1
-(serial).
+output.  MARKOFF_THREADS sets the worker count for ranges, capped at the cpu
+count; the default is 1 (serial).
 
 Exit codes: 0 success, 2 domain error (bad prime or point), 3 constructive
 failure or a refused cap, 4 disconnected graph.
@@ -62,15 +62,16 @@ def _primes_arg(args, default: str) -> List[int]:
 
 
 def _pool_map(fn, items: Sequence) -> List:
-    """Ordered map over primes, fanned out when MARKOFF_THREADS allows."""
+    """Ordered map over primes, fanned out to at most MARKOFF_THREADS and cpu_count workers."""
     try:
         workers = int(os.environ.get("MARKOFF_THREADS", "1"))
     except ValueError:
         workers = 1
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=1))
 
 

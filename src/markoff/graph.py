@@ -170,35 +170,37 @@ class BfsTree:
 
 
 def bfs(g: SurfaceGraph, root: int) -> BfsTree:
-    """Level-synchronous BFS.
+    """Level-synchronous BFS with a sort-free first-discovery scatter.
 
     Ties are broken exactly as a sequential queue would with neighbor order
     COLUMN_MOVES: among all discoveries of a vertex in one level, the earliest
-    frontier parent wins, and for one parent the lowest column wins.
+    frontier parent wins, and for one parent the lowest column wins.  A
+    candidate's position in the flattened adj[frontier] orders it by that
+    rule, so the least position scattered into a per-vertex slot wins; the
+    winners, in position order, are the next frontier in discovery order.
     """
     n = len(g)
     depth = np.full(n, -1, dtype=np.int32)
     parent = np.full(n, -1, dtype=np.int32)
     via = np.full(n, -1, dtype=np.int8)
+    slot = np.empty(n, dtype=np.int64)  # least position that found the vertex this level
     depth[root] = 0
     frontier = np.array([root], dtype=np.int32)
     level = 0
-    cols = np.arange(DEGREE, dtype=np.int8)
     while len(frontier):
         level += 1
         cand = g.adj[frontier].ravel()
-        fresh = depth[cand] < 0
-        cand = cand[fresh]
-        par = np.repeat(frontier, DEGREE)[fresh]
-        mv = np.tile(cols, len(frontier))[fresh]
-        uniq, first = np.unique(cand, return_index=True)
-        order = np.argsort(first, kind="stable")  # preserve discovery order
-        uniq = uniq[order]
-        first = first[order]
-        depth[uniq] = level
-        parent[uniq] = par[first]
-        via[uniq] = mv[first]
-        frontier = uniq
+        pos = np.flatnonzero(depth[cand] < 0)
+        cand = cand[pos]
+        slot[cand] = DEGREE * len(frontier)  # above every position
+        # minimum.at: numpy does not define which of repeated fancy-index writes wins
+        np.minimum.at(slot, cand, pos)
+        keep = slot[cand] == pos
+        nxt, pos = cand[keep], pos[keep]
+        depth[nxt] = level
+        parent[nxt] = frontier[pos // DEGREE]
+        via[nxt] = pos % DEGREE
+        frontier = nxt
     return BfsTree(root=root, depth=depth, parent=parent, via=via)
 
 
@@ -266,17 +268,22 @@ class SpectralReport:
 
 def spectral_gap(g: SurfaceGraph, seed: int = 0,
                  cap: int = DEFAULT_SPECTRAL_CAP) -> SpectralReport:
-    """lambda_2 via ARPACK on the gather-based matvec; deterministic start."""
+    """lambda_2 via ARPACK on a CSR adjacency operator; deterministic start.
+    Row i holds adj[i] with repeats kept, so each half-edge of a multi-edge
+    counts, and the operator counts its matvecs as the iterations."""
     if g.p > cap:
         raise CapExceeded(f"spectral cap {cap} refuses p = {g.p}")
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = len(g)
+    a = csr_matrix((np.ones(n * DEGREE), g.adj.ravel(),
+                    np.arange(0, DEGREE * n + 1, DEGREE)), shape=(n, n))
     calls = [0]
 
     def matvec(x):
         calls[0] += 1
-        return x.ravel()[g.adj].sum(axis=1)
+        return a @ x.ravel()
 
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(n)

@@ -145,11 +145,6 @@ def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTr
     return LiftTriple(None, logs, False)
 
 
-def on_integer_surface(x: Triple) -> bool:
-    a, b, c = x
-    return a * a + b * b + c * c == 3 * a * b * c
-
-
 def growth_exponent(word: PathWord) -> float:
     """2^(s-1) * prod(|n_i| + 1) for the reduced word; 0 for the empty word."""
     if not word.steps:

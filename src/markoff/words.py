@@ -51,9 +51,6 @@ class PathWord:
         """Number of segments (axis changes plus one, zero for the empty word)."""
         return len(self.steps)
 
-    def exponents(self) -> Tuple[int, ...]:
-        return tuple(n for _, n in self.steps)
-
     def __str__(self) -> str:
         if not self.steps:
             return "e"

@@ -7,6 +7,7 @@ except where a test deliberately feeds oracle output into package input.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 Triple = Tuple[int, int, int]
@@ -81,6 +82,28 @@ def rot_inv(x: Triple, i: int, p: int) -> Triple:
     if i == 3:
         return ((3 * x1 * x3 - x2) % p, x1, x3)
     raise ValueError(i)
+
+
+def on_integer_surface(x: Triple) -> bool:
+    a, b, c = x
+    return a * a + b * b + c * c == 3 * a * b * c
+
+
+def bfs_queue(adj, root: int) -> Tuple[List[int], List[int], List[int]]:
+    """(depth, parent, via) of a sequential FIFO BFS over an N x 6 adjacency
+    table, scanning each vertex's neighbors in column order; -1 where unset."""
+    n = len(adj)
+    depth, parent, via = [-1] * n, [-1] * n, [-1] * n
+    depth[root] = 0
+    q = deque([root])
+    while q:
+        u = q.popleft()
+        for col, w in enumerate(adj[u]):
+            w = int(w)
+            if depth[w] < 0:
+                depth[w], parent[w], via[w] = depth[u] + 1, u, col
+                q.append(w)
+    return depth, parent, via
 
 
 def orbit(x: Triple, i: int, p: int) -> List[Triple]:

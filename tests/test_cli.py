@@ -1,5 +1,6 @@
 """Command line behavior: formats, golden table, exit codes, determinism."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -215,6 +216,49 @@ def test_byte_identical_reruns(capsys):
     b1 = run_cli(capsys, "bounds", "-p", "31", "--seed", "7")
     b2 = run_cli(capsys, "bounds", "-p", "31", "--seed", "7")
     assert b1 == b2
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("connectivity", "--primes", "5..61"),
+     "7a70b1a2739180b9b84419c91753da5a1f2858bdc1691242f5f46280244d948d"),
+    (("bounds", "--primes", "5..61"),
+     "02a0c00609f179593bf33d810c794a52c46305176d4a7613a4abd1529d2f9e13"),
+], ids=["connectivity", "bounds"])
+def test_graph_command_stdout_digest(capsys, argv, want):
+    # sha256 of stdout: the BFS and spectral layers must keep every byte
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_pool_map_caps_workers_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        """Records max_workers and maps in-process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("MARKOFF_THREADS", "1000000")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._pool_map(abs, list(range(-10, 0))) == list(range(10, 0, -1))
+    assert started == [3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # count unknown: serial
+    assert cli._pool_map(abs, [-1, -2]) == [1, 2]
+    assert started == [3]
 
 
 def test_module_entry_point_smoke():

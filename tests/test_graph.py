@@ -166,25 +166,32 @@ def test_maximal_orbit_value_zero_exception_mod_5():
     assert sorted(set(orbit) | set(other)) == sorted(int(i) for i in ids)
 
 
-def test_bfs_depths_match_reference_bfs():
-    from collections import deque
+def doubled_p5_graph():
+    """Two disjoint copies of the p = 5 graph, ids n.. for the second."""
+    g = SurfaceGraph.build(5)
+    n = len(g)
+    return SurfaceGraph(p=5, keys=np.concatenate([g.keys, g.keys]),
+                        coords=np.vstack([g.coords, g.coords]),
+                        adj=np.vstack([g.adj, g.adj + n]), first=g.first)
 
-    p = 19
-    g = SurfaceGraph.build(p)
-    root = g.id_of((1, 1, 1))
+
+def assert_bfs_matches_queue_oracle(g, root):
     tree = bfs(g, root)
-    dist = {root: 0}
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for col in range(6):
-            w = int(g.adj[u, col])
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    assert tree.reached == len(dist)
-    for vid, d in dist.items():
-        assert tree.depth[vid] == d
+    depth, parent, via = oracles.bfs_queue(g.adj, root)
+    assert tree.depth.tolist() == depth
+    assert tree.parent.tolist() == parent
+    assert tree.via.tolist() == via
+
+
+def test_bfs_tree_matches_sequential_queue_oracle():
+    # depth, parent and via: the scatter must pick the queue's first discovery
+    for p in PRIMES_TO_61:
+        g = SurfaceGraph.build(p)
+        assert_bfs_matches_queue_oracle(g, g.id_of((1, 1, 1)))
+        assert_bfs_matches_queue_oracle(g, len(g) - 1)
+    twice = doubled_p5_graph()
+    for root in (0, 40, 79):
+        assert_bfs_matches_queue_oracle(twice, root)
 
 
 def test_bfs_words_replay_to_their_vertex_exhaustive():
@@ -233,27 +240,27 @@ def test_components_connected_small_primes():
 
 
 def test_components_counts_each_copy_of_a_doubled_graph():
-    g = SurfaceGraph.build(5)
-    n = len(g)
-    twice = SurfaceGraph(p=5, keys=np.concatenate([g.keys, g.keys]),
-                         coords=np.vstack([g.coords, g.coords]),
-                         adj=np.vstack([g.adj, g.adj + n]), first=g.first)
-    rep = components(twice)
+    rep = components(doubled_p5_graph())
     assert rep.sizes == [40, 40] and not rep.connected and rep.vertices == 80
 
 
-def test_spectral_gap_matches_dense_eigensolver_p31():
-    g = SurfaceGraph.build(31)
-    rep = graph.spectral_gap(g)
-    a = np.zeros((len(g), len(g)))
-    rows = np.repeat(np.arange(len(g)), 6)
-    np.add.at(a, (rows, g.adj.ravel()), 1.0)
-    assert np.allclose(a, a.T)
-    eig = np.linalg.eigvalsh(a)
-    assert abs(eig[-1] - 6.0) < 1e-9  # regular graph
-    assert abs(rep.lam2 - eig[-2]) < 1e-6
-    assert rep.h_lower > 0
-    assert rep.h_lower <= (6 - eig[-2]) / 2 + 1e-6  # padding keeps it a lower bound
+def test_spectral_gap_matches_dense_eigensolver_with_multi_edges():
+    # each of these primes has rows with a repeated neighbor, so an operator
+    # that drops or merges multi-edges would move lambda_2
+    for p in (5, 7, 13, 31):
+        g = SurfaceGraph.build(p)
+        assert any(len(set(row)) < 6 for row in g.adj.tolist())
+        rep = graph.spectral_gap(g)
+        a = np.zeros((len(g), len(g)))
+        rows = np.repeat(np.arange(len(g)), 6)
+        np.add.at(a, (rows, g.adj.ravel()), 1.0)
+        assert np.allclose(a, a.T)
+        eig = np.linalg.eigvalsh(a)
+        assert abs(eig[-1] - 6.0) < 1e-9  # regular graph
+        assert abs(rep.lam2 - eig[-2]) < 1e-6, p
+        assert rep.iterations > 0
+        assert rep.h_lower > 0
+        assert rep.h_lower <= (6 - eig[-2]) / 2 + 1e-6  # padding keeps it a lower bound
 
 
 def test_spectral_cap_refuses_large_p():

@@ -43,7 +43,7 @@ def test_replay_matches_oracle_and_surface():
         got = lifts.replay_integer(word)
         assert got.exact
         assert got.coords == oracles.replay_int(word.steps)
-        assert lifts.on_integer_surface(got.coords)
+        assert oracles.on_integer_surface(got.coords)
         assert got.log_size == lifts.ln_big(max(got.coords))
         for p in (5, 13, 29):
             assert got.reduce(p) == oracles.replay_mod(word.steps, p)
@@ -59,7 +59,7 @@ def test_constructed_words_lift_congruently():
             lift = lifts.replay_integer(path.word)
             assert lift.exact, f"constructed word outgrew the cap mod {p}"
             assert lift.reduce(p) == x
-            assert lifts.on_integer_surface(lift.coords)
+            assert oracles.on_integer_surface(lift.coords)
 
 
 def test_fibonacci_form_matches_replay():
@@ -160,7 +160,7 @@ def test_minimal_lift_search_random_targets():
         got = lifts.minimal_lift_search(11, x)
         assert got is not None, f"no lift found for {x} mod 11"
         assert got.reduce(11) == x
-        assert lifts.on_integer_surface(got.coords)
+        assert oracles.on_integer_surface(got.coords)
 
 
 def test_partition_max_product():

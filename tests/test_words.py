@@ -73,5 +73,4 @@ def test_length_and_switches():
     w = PathWord.parse("r1^2.r3^-4.r2^1")
     assert w.length == 7
     assert w.switches == 3
-    assert w.exponents() == (2, -4, 1)
     assert PathWord(()).length == 0 and PathWord(()).switches == 0
