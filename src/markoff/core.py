@@ -13,7 +13,7 @@ the fixed coordinate pins down:
 On the moved pair, rot_i acts as the SL2 matrix [[0, 1], [-1, 3*x_i]], so
 powers of a rotation reduce to a constant-recursive sequence
 u_0 = 0, u_1 = 1, u_{k+2} = 3*x_i*u_{k+1} - u_k, which `lucas_pair` evaluates
-in O(log n) by fast doubling.
+in O(log n) by fast doubling, mod p or, when p is None, over the integers.
 
 A coordinate value x is classified by the discriminant (3x)^2 - 4 of the
 matrix's characteristic polynomial: zero means parabolic (x = +-2/3, orbit
@@ -83,8 +83,9 @@ def rot_inv(x: Triple, i: int, p: int) -> Triple:
     raise ValueError(f"rotation axis must be 1, 2 or 3, got {i}")
 
 
-def lucas_pair(P: int, n: int, p: int) -> Tuple[int, int]:
-    """(u_n, u_{n+1}) mod p for u_0=0, u_1=1, u_{k+2} = P*u_{k+1} - u_k.
+def lucas_pair(P: int, n: int, p: Optional[int]) -> Tuple[int, int]:
+    """(u_n, u_{n+1}) mod p for u_0=0, u_1=1, u_{k+2} = P*u_{k+1} - u_k;
+    over the integers, with no reduction, when p is None.
 
     Fast doubling: u_{2k} = u_k*(2*u_{k+1} - P*u_k), u_{2k+1} = u_{k+1}^2 - u_k^2.
     Requires n >= 0; negative indices follow from u_{-n} = -u_n at call sites.
@@ -92,6 +93,12 @@ def lucas_pair(P: int, n: int, p: int) -> Tuple[int, int]:
     if n < 0:
         raise ValueError("lucas_pair wants n >= 0")
     a, b = 0, 1  # (u_0, u_1)
+    if p is None:
+        for bit in bin(n)[2:]:
+            a, b = a * (2 * b - P * a), (b - a) * (b + a)
+            if bit == "1":
+                a, b = b, P * b - a
+        return a, b
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - P * a) % p, (b * b - a * a) % p
         if bit == "1":
@@ -99,22 +106,19 @@ def lucas_pair(P: int, n: int, p: int) -> Tuple[int, int]:
     return a, b
 
 
-def rotation_power(x: Triple, i: int, n: int, p: int) -> Triple:
-    """rot_i^n(x) in O(log |n|) multiplications."""
-    fixed = x[i - 1]
+def rotation_power(x: Triple, i: int, n: int, p: Optional[int]) -> Triple:
+    """rot_i^n(x) in O(log |n|) multiplications; over the integers when p is None."""
     ja, jb = _MOVED[i]
     a, b = x[ja], x[jb]
-    P = 3 * fixed % p
+    P = 3 * x[i - 1] if p is None else 3 * x[i - 1] % p
+    u_m, u_m1 = lucas_pair(P, abs(n), p)
+    u_mm1 = P * u_m - u_m1
     if n >= 0:
-        u_n, u_n1 = lucas_pair(P, n, p)
-        u_nm1 = (P * u_n - u_n1) % p
-        na = (-u_nm1 * a + u_n * b) % p
-        nb = (-u_n * a + u_n1 * b) % p
+        na, nb = u_m * b - u_mm1 * a, u_m1 * b - u_m * a
     else:
-        u_m, u_m1 = lucas_pair(P, -n, p)
-        u_mm1 = (P * u_m - u_m1) % p
-        na = (u_m1 * a - u_m * b) % p
-        nb = (u_m * a - u_mm1 * b) % p
+        na, nb = u_m1 * a - u_m * b, u_m * a - u_mm1 * b
+    if p is not None:
+        na, nb = na % p, nb % p
     t = list(x)
     t[ja], t[jb] = na, nb
     return (t[0], t[1], t[2])
@@ -234,17 +238,14 @@ def check_point(x: Triple, p: int) -> Triple:
 
 
 def fibonacci(n: int) -> int:
-    """F_n over the integers (F_1 = F_2 = 1), fast doubling; accepts n >= -1."""
+    """F_n over the integers (F_1 = F_2 = 1); accepts n >= -1.  The Lucas
+    sequence with P = 3 has u_m = F_{2m}, so F_{2m+1} = u_{m+1} - u_m."""
     if n == -1:
         return 1
     if n < 0:
         raise ValueError("fibonacci wants n >= -1")
-    a, b = 0, 1  # (F_0, F_1)
-    for bit in bin(n)[2:] if n else "":
-        a, b = a * (2 * b - a), a * a + b * b
-        if bit == "1":
-            a, b = b, a + b
-    return a
+    u, u1 = lucas_pair(3, n // 2, None)
+    return u1 - u if n % 2 else u
 
 
 def fibonacci_form(n: int) -> Tuple[int, int, int]:

@@ -8,6 +8,11 @@ solutions (the flipped quadratic has positive root sum and product), so every
 coordinate along a replay stays a positive integer and log-domain tracking is
 well defined once the exact integers outgrow the digit cap.
 
+Along a segment rot_i^n the moved pair obeys y_{j+1} = P*y_j - y_{j-1} with
+P = 3*x_i and every y_j > 0.  So y_{j+1} < lambda*y_j (lambda + 1/lambda = P),
+and the second difference (P - 2)*y_j > 0 makes the sequence convex: a jump
+that ends within the digit cap skipped no state past it.
+
 Sizes obey one growth law and a family of evaluated exponents built on it:
 a reduced word with s segments of exponents n_1..n_s satisfies
 
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from . import field
+from .core import rotation_power
 from .errors import DomainError
 from .words import PathWord
 
@@ -54,21 +60,14 @@ def ln_big(x: int) -> float:
 
 
 def _rot_int(x: Triple, i: int) -> Triple:
+    """rot_i over the integers, for the small-integer walks of the lift search
+    and tree levels: 0.4 us a step against 1.7 us for rotation_power at n = 1."""
     x1, x2, x3 = x
     if i == 1:
         return (x1, x3, 3 * x1 * x3 - x2)
     if i == 2:
         return (x3, x2, 3 * x2 * x3 - x1)
     return (x2, 3 * x2 * x3 - x1, x3)
-
-
-def _rot_inv_int(x: Triple, i: int) -> Triple:
-    x1, x2, x3 = x
-    if i == 1:
-        return (x1, 3 * x1 * x2 - x3, x2)
-    if i == 2:
-        return (3 * x1 * x2 - x3, x2, x1)
-    return (3 * x1 * x3 - x2, x1, x3)
 
 
 def _ln_product_minus(ln_a: float, ln_b: float, ln_c: float) -> float:
@@ -121,26 +120,36 @@ class LiftTriple:
         return (self.coords[0] % p, self.coords[1] % p, self.coords[2] % p)
 
 
+def _jump_length(cur: Triple, axis: int, n: int, cap_bits: int) -> int:
+    """Steps of rot_axis, at most n, that surely keep cur within cap_bits."""
+    P = 3 * cur[axis - 1]
+    ln_lam = math.log((P + math.sqrt(P * P - 4)) / 2) if P.bit_length() <= 64 else ln_big(P)
+    return max(0, min(n, int((cap_bits * LN2 - ln_big(max(cur))) / ln_lam) - 2))
+
+
 def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTriple:
     """Apply a rotation word to (1, 1, 1), exactly while the coordinates stay
     under digit_cap decimal digits, in log-domain after; the switch-over
-    clears the exactness flag.
-    """
+    clears the exactness flag.  While exact, a segment first jumps by one
+    integer `rotation_power`, kept if it ends within the cap, then unit-steps."""
     cap_bits = max(64, int(digit_cap * LN10 / LN2))
-    cur: Optional[Triple] = SEED
+    cur: Triple = SEED
     logs: Optional[Tuple[float, float, float]] = None
-    exact = True
     for axis, n in word.steps:
-        sign = 1 if n > 0 else -1
-        for _ in range(abs(n)):
-            if exact:
-                cur = _rot_int(cur, axis) if sign > 0 else _rot_inv_int(cur, axis)
+        sign, left = (1 if n > 0 else -1), abs(n)
+        if logs is None:
+            k = _jump_length(cur, axis, left, cap_bits)
+            nxt = rotation_power(cur, axis, sign * k, None)
+            if max(nxt).bit_length() <= cap_bits:
+                cur, left = nxt, left - k
+        for _ in range(left):
+            if logs is None:
+                cur = rotation_power(cur, axis, sign, None)
                 if max(cur).bit_length() > cap_bits:
                     logs = tuple(ln_big(c) for c in cur)
-                    cur, exact = None, False
             else:
                 logs = _rot_log(logs, axis, sign)
-    if exact:
+    if logs is None:
         return LiftTriple(cur, tuple(ln_big(c) for c in cur), True)
     return LiftTriple(None, logs, False)
 

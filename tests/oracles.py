@@ -183,20 +183,46 @@ def lucas_u(P: int, n: int, p: int) -> int:
     return a
 
 
+def _step_int(x: Triple, axis: int, forward: bool) -> Triple:
+    x1, x2, x3 = x
+    if axis == 1:
+        return (x1, x3, 3 * x1 * x3 - x2) if forward else (x1, 3 * x1 * x2 - x3, x2)
+    if axis == 2:
+        return (x3, x2, 3 * x2 * x3 - x1) if forward else (3 * x1 * x2 - x3, x2, x1)
+    return (x2, 3 * x2 * x3 - x1, x3) if forward else (3 * x1 * x3 - x2, x1, x3)
+
+
 def replay_int(steps, start=(1, 1, 1)) -> Triple:
     """Apply a word over the integers, one rotation at a time."""
-    x = list(start)
+    x = tuple(start)
     for axis, n in steps:
         for _ in range(abs(n)):
-            forward = n > 0
-            x1, x2, x3 = x
-            if axis == 1:
-                x = [x1, x3, 3 * x1 * x3 - x2] if forward else [x1, 3 * x1 * x2 - x3, x2]
-            elif axis == 2:
-                x = [x3, x2, 3 * x2 * x3 - x1] if forward else [3 * x1 * x2 - x3, x2, x1]
+            x = _step_int(x, axis, n > 0)
+    return x
+
+
+def replay_capped(steps, digit_cap: int):
+    """(coords, log_coords, exact) of a word replayed from (1,1,1) one
+    rotation at a time: exact integers until the largest coordinate passes
+    digit_cap decimal digits, then the package's own log-domain step.  The
+    logs come from `lifts.ln_big` and `lifts._rot_log` so that a
+    comparison with `lifts.replay_integer` checks the exact phase and the
+    switch point, not float rounding."""
+    from markoff import lifts
+
+    cap_bits = max(64, int(digit_cap * lifts.LN10 / lifts.LN2))
+    x, logs = (1, 1, 1), None
+    for axis, n in steps:
+        for _ in range(abs(n)):
+            if logs is None:
+                x = _step_int(x, axis, n > 0)
+                if max(x).bit_length() > cap_bits:
+                    logs = tuple(lifts.ln_big(c) for c in x)
             else:
-                x = [x2, 3 * x2 * x3 - x1, x3] if forward else [3 * x1 * x3 - x2, x1, x3]
-    return tuple(x)
+                logs = lifts._rot_log(logs, axis, 1 if n > 0 else -1)
+    if logs is None:
+        return x, tuple(lifts.ln_big(c) for c in x), True
+    return None, logs, False
 
 
 def replay_mod(steps, p: int, start=(1, 1, 1)) -> Triple:

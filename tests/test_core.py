@@ -86,6 +86,28 @@ def test_rotation_power_zero_and_one():
         assert core.rotation_power(x, i, -1, p) == core.rot_inv(x, i, p)
 
 
+def test_lucas_pair_integer_mode_matches_recurrence():
+    for P in (3, 6, 3 * 10**20):
+        a, b = 0, 1
+        for n in range(201):
+            assert core.lucas_pair(P, n, None) == (a, b)
+            a, b = b, P * b - a
+
+
+def test_rotation_power_integer_mode_matches_unit_steps():
+    rng = random.Random(5)
+    for _ in range(12):
+        word = [(axis, rng.choice((-1, 1)) * rng.randint(1, 4))
+                for axis in rng.sample((1, 2, 3), 3)]
+        x = oracles.replay_int(word)
+        for i in (1, 2, 3):
+            for n in range(51):
+                for m in (n, -n):
+                    y = core.rotation_power(x, i, m, None)
+                    assert y == oracles.replay_int([(i, m)], start=x)
+                    assert oracles.on_integer_surface(y)
+
+
 def test_classify_known_values():
     # 1 mod 5 is -2/3: parabolic of order 2p = 10.
     cc = Classifier(5).classify(1)

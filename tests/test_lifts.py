@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,62 @@ def test_log_domain_switchover():
     assert rough.coords is None and rough.size is None
     assert rough.reduce(7) is None
     assert math.isclose(rough.log_size, exact.log_size, rel_tol=1e-9)
+
+
+def _golden_words():
+    lines = (Path(__file__).parent / "golden" / "route_words.txt").read_text().splitlines()
+    return [(int(p), PathWord.parse(w)) for p, _, w in (ln.split() for ln in lines if ln.strip())]
+
+
+def _segment_words(rng, count):
+    """Reduced words of 1-7 segments with signed exponents up to 300, each
+    with a cap of 1-5000 digits, so that the switch lands inside segments."""
+    out = []
+    for _ in range(count):
+        steps, last = [], 0
+        for _ in range(rng.randint(1, 7)):
+            last = rng.choice([a for a in (1, 2, 3) if a != last])
+            steps.append((last, rng.choice((1, -1)) * rng.randint(1, 300)))
+        out.append((PathWord.from_steps(steps), rng.randint(1, 5000)))
+    return out
+
+
+def _replay_fields(word, cap):
+    got = lifts.replay_integer(word, cap)
+    return got.coords, got.log_coords, got.exact
+
+
+def test_segment_replay_matches_stepwise_oracle():
+    golden = _golden_words()
+    cases = [(w, cap) for cap in (1, 30, 1000) for _, w in golden]
+    cases += [(w, 5 * 10**4) for p, w in golden if p == 2017]
+    cases += _segment_words(random.Random(909), 500)
+    assert sum(p == 2017 for p, _ in golden) == 20
+    for word, cap in cases:
+        assert _replay_fields(word, cap) == oracles.replay_capped(word.steps, cap), (str(word), cap)
+
+
+def test_segment_jump_past_the_cap_falls_back_to_unit_steps(monkeypatch):
+    # with the step estimate forced to the whole segment, jumps overshoot the
+    # cap; replay must discard them and find the switch-over by unit steps
+    calls = []
+    real_power = lifts.rotation_power
+
+    def spy(x, i, n, p):
+        y = real_power(x, i, n, p)
+        calls.append((abs(n), max(y).bit_length()))
+        return y
+
+    monkeypatch.setattr(lifts, "_jump_length", lambda cur, axis, n, cap_bits: n)
+    monkeypatch.setattr(lifts, "rotation_power", spy)
+    cases = [(w, 30) for _, w in _golden_words()] + _segment_words(random.Random(17), 60)
+    overshoots = 0
+    for word, cap in cases:
+        calls.clear()
+        assert _replay_fields(word, cap) == oracles.replay_capped(word.steps, cap), (str(word), cap)
+        cap_bits = max(64, int(cap * lifts.LN10 / lifts.LN2))
+        overshoots += sum(n > 1 and bits > cap_bits for n, bits in calls)
+    assert overshoots > 100
 
 
 def test_ln_big():
