@@ -62,7 +62,9 @@ def _primes_arg(args, default: str) -> List[int]:
 
 
 def _pool_map(fn, items: Sequence) -> List:
-    """Ordered map over primes, fanned out to at most MARKOFF_THREADS and cpu_count workers."""
+    """Ordered map over primes, fanned out to at most MARKOFF_THREADS and cpu_count workers.
+    Workers are spawned with one BLAS thread each (a forked child keeps the parent's
+    BLAS thread pool, and oversubscribes); the parent's environment is restored."""
     try:
         workers = int(os.environ.get("MARKOFF_THREADS", "1"))
     except ValueError:
@@ -71,8 +73,15 @@ def _pool_map(fn, items: Sequence) -> List:
     if workers <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+    from multiprocessing import get_context
+    saved = dict(os.environ)
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(fn, items, chunksize=1))
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
 
 
 def _emit(lines: Sequence[str], out: Optional[str]) -> None:

@@ -1,19 +1,20 @@
 """The mod-p Markoff graph: vertices X*(p), edges from the three rotations.
 
 Enumeration solves the surface equation as a quadratic in x3 for every
-(x1, x2) pair, so building the vertex set costs O(p^2) with vectorized
-chunks.  Vertex ids follow the sorted lexicographic keys (x1*p + x2)*p + x3.
-A pair owns at most two vertices, the roots c and 3*x1*x2 - c, so a point's
-id is first[x1*p + x2] plus one for the larger root, read off a p^2-entry
-offset table without any search.  Adjacency is a dense N x 6 id array: the
-columns are core.rot/rot_inv applied to the coordinate columns, in this fixed
-order, rot1, rot1^-1, rot2, rot2^-1, rot3, rot3^-1.  That column order is
-also the BFS tie-break, which makes extracted shortest paths deterministic;
-components are repeated BFS.
+(x1, x2) pair in vectorized row blocks, emitting each pair's roots smaller
+first, so the keys (x1*p + x2)*p + x3 come out in key order, with no sort;
+vertex ids follow them.  A pair owns at most two vertices, the roots c and
+3*x1*x2 - c, so a point's id is first[x1*p + x2] plus one for the larger
+root, read off a p^2-entry offset table without any search.  Adjacency is a
+dense N x 6 id array in the column order rot1, rot1^-1, rot2, rot2^-1, rot3,
+rot3^-1: the forward columns are core.rot applied to the coordinate columns,
+and each inverse column is the inverse permutation of its forward column.
+That column order is also the BFS tie-break, so extracted shortest paths are
+deterministic; BFS marks visits in a one-byte mask; components are repeated BFS.
 
 Vertex counts obey |X*(p)| = p^2 + 3p for p = 1 (mod 4) and p^2 - 3p for
-p = 3 (mod 4); construction checks this and that every rotation image lands
-back inside the vertex set.
+p = 3 (mod 4); construction checks this, that every rotation image lands
+back inside the vertex set and that each rotation permutes it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from . import field
-from .core import Classifier, Triple, is_maximal, point_order, rot, rot_inv
+from .core import Classifier, Triple, is_maximal, point_order, rot
 from .errors import CapExceeded, ConstructionError, DomainError
 from .words import PathWord
 
@@ -51,28 +52,23 @@ def _sqrt_table(p: int) -> np.ndarray:
 
 
 def surface_arrays(p: int) -> np.ndarray:
-    """Sorted int64 key array of all points of X*(p)."""
+    """Sorted int64 key array of all points of X*(p), emitted in key order."""
     roots = _sqrt_table(p)
     inv2 = pow(2, p - 2, p)
     chunks: List[np.ndarray] = []
-    block = max(1, (1 << 20) // p)
+    rows = max(1, BLOCK // p)
     x2 = np.arange(p, dtype=np.int64)
-    for lo in range(0, p, block):
-        x1 = np.arange(lo, min(lo + block, p), dtype=np.int64)[:, None]
+    for lo in range(0, p, rows):
+        x1 = np.arange(lo, min(lo + rows, p), dtype=np.int64)[:, None]
         b = (3 * x1 * x2) % p
         disc = (b * b - 4 * (x1 * x1 + x2 * x2)) % p
         r = roots[disc]
         has = r >= 0
-        double = has & (disc != 0)
-        base = (x1 * p + x2) * p  # broadcasts to the block shape
-        hi = ((b + r) * inv2) % p
-        chunks.append((base + hi)[has])
-        lo_root = ((b - r) * inv2) % p
-        chunks.append((base + lo_root)[double])
-    keys = np.concatenate(chunks)
-    keys = keys[keys != 0]  # drop the zero triple
-    keys.sort()
-    return keys
+        u, v = ((b - r) * inv2) % p, ((b + r) * inv2) % p
+        x3 = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=-1)
+        keep = np.stack((has & (disc != 0), has), axis=-1)  # a double root counts once
+        chunks.append((((x1 * p + x2) * p)[..., None] + x3)[keep])
+    return np.concatenate(chunks)[1:]  # drop the zero triple, always the first key
 
 
 @dataclass
@@ -108,11 +104,18 @@ class SurfaceGraph:
                 adj=np.empty((n, DEGREE), dtype=np.int32))
         for lo in range(0, n, BLOCK):
             x = tuple(coords[lo:lo + BLOCK].T.astype(np.int64))
-            for col, (axis, sign) in enumerate(COLUMN_MOVES):
-                ids, hit = g._lookup(*(rot if sign > 0 else rot_inv)(x, axis, p))
+            for axis in (1, 2, 3):
+                ids, hit = g._lookup(*rot(x, axis, p))
                 if not bool(hit.all()):
                     raise ConstructionError("rotation image left the vertex set")
-                g.adj[lo:lo + BLOCK, col] = ids
+                g.adj[lo:lo + BLOCK, 2 * axis - 2] = ids
+        inv = np.empty(n, dtype=np.int32)
+        for axis in (1, 2, 3):
+            inv.fill(-1)
+            inv[g.adj[:, 2 * axis - 2]] = np.arange(n, dtype=np.int32)
+            if bool((inv < 0).any()):
+                raise ConstructionError(f"rot{axis} is not a permutation of the vertex set")
+            g.adj[:, 2 * axis - 1] = inv
         return g
 
     def _lookup(self, x1, x2, x3):
@@ -184,13 +187,15 @@ def bfs(g: SurfaceGraph, root: int) -> BfsTree:
     parent = np.full(n, -1, dtype=np.int32)
     via = np.full(n, -1, dtype=np.int8)
     slot = np.empty(n, dtype=np.int64)  # least position that found the vertex this level
+    unseen = np.ones(n, dtype=bool)  # one byte a vertex: cheaper to gather than depth
     depth[root] = 0
+    unseen[root] = False
     frontier = np.array([root], dtype=np.int32)
     level = 0
     while len(frontier):
         level += 1
         cand = g.adj[frontier].ravel()
-        pos = np.flatnonzero(depth[cand] < 0)
+        pos = np.flatnonzero(unseen[cand])
         cand = cand[pos]
         slot[cand] = DEGREE * len(frontier)  # above every position
         # minimum.at: numpy does not define which of repeated fancy-index writes wins
@@ -198,6 +203,7 @@ def bfs(g: SurfaceGraph, root: int) -> BfsTree:
         keep = slot[cand] == pos
         nxt, pos = cand[keep], pos[keep]
         depth[nxt] = level
+        unseen[nxt] = False
         parent[nxt] = frontier[pos // DEGREE]
         via[nxt] = pos % DEGREE
         frontier = nxt

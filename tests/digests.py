@@ -8,6 +8,7 @@ Each digest hashes the stdout of the listed CLI runs, concatenated in order:
     seed-paths         seed-paths --primes 5..199
     cage-stats         cage-stats --primes 5..300
     connectivity       connectivity --primes 5..199
+    connectivity-band  connectivity --primes 940..1000 (the graph-sweep band)
     bounds             bounds --primes 5..199
     export-dot         export -p 31 --format dot
     export-csv         export -p 31 --format csv
@@ -52,6 +53,7 @@ RUNS = {
     "seed-paths": lambda: [["seed-paths", "--primes", "5..199"]],
     "cage-stats": lambda: [["cage-stats", "--primes", "5..300"]],
     "connectivity": lambda: [["connectivity", "--primes", "5..199"]],
+    "connectivity-band": lambda: [["connectivity", "--primes", "940..1000"]],
     "bounds": lambda: [["bounds", "--primes", "5..199"]],
     "export-dot": lambda: [["export", "-p", "31", "--format", "dot"]],
     "export-csv": lambda: [["export", "-p", "31", "--format", "csv"]],

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -239,7 +240,8 @@ def test_pool_map_caps_workers_at_cpu_count(monkeypatch):
     class SerialPool:
         """Records max_workers and maps in-process, so no worker starts."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             started.append(max_workers)
 
         def __enter__(self):
@@ -259,6 +261,14 @@ def test_pool_map_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # count unknown: serial
     assert cli._pool_map(abs, [-1, -2]) == [1, 2]
     assert started == [3]
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    monkeypatch.setenv("MARKOFF_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2) == ["1", "1"]
+    assert "OPENBLAS_NUM_THREADS" not in os.environ  # the parent's environment is restored
 
 
 def test_module_entry_point_smoke():

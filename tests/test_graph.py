@@ -8,7 +8,7 @@ import pytest
 
 from markoff import field, graph
 from markoff.core import Classifier, is_maximal, rot, rot_inv
-from markoff.errors import CapExceeded, DomainError
+from markoff.errors import CapExceeded, ConstructionError, DomainError
 from markoff.graph import SurfaceGraph, bfs, components, shortest_path, word_to
 
 import oracles
@@ -57,6 +57,34 @@ def test_adjacency_and_coords_digest_primes_to_199():
             h.update(g.adj.astype("<i4").tobytes())
             h.update(g.coords.astype("<i4").tobytes())
     assert h.hexdigest() == "5c8eb934c4b82780c12270b21aa34162c64c16fd9abe80ac13402eb8736e16b6"
+
+
+def test_adjacency_coords_and_bfs_digest_p997():
+    # the graph-sweep band's largest prime, pinned past the p <= 199 digest above
+    g = SurfaceGraph.build(997)
+    h = hashlib.sha256(g.adj.astype("<i4").tobytes())
+    h.update(g.coords.astype("<i4").tobytes())
+    assert h.hexdigest() == "2cee1153e11215ac0de4f9c5294655f53a7b183321db22be5550a1123227a30f"
+    tree = bfs(g, 0)
+    h = hashlib.sha256(tree.depth.astype("<i4").tobytes())
+    h.update(tree.parent.astype("<i4").tobytes())
+    h.update(tree.via.astype("i1").tobytes())
+    assert h.hexdigest() == "c98d1448f4eae63d2661c4b3678cc2601064df6cddf0f195f174f3b37cba887c"
+
+
+def test_enumeration_keys_strictly_increase_past_1000():
+    for p in (1009, 2017):
+        keys = graph.surface_arrays(p)
+        assert len(keys) == graph.vertex_count_formula(p)
+        assert keys[0] > 0 and bool(np.all(np.diff(keys) > 0))
+
+
+def test_build_refuses_a_rotation_that_is_not_a_permutation(monkeypatch):
+    # (1,1,1) is a vertex mod every p, so every image passes the hit check
+    # and only the inverse-column scatter can see that rot is not a bijection
+    monkeypatch.setattr(graph, "rot", lambda x, axis, p: tuple(np.ones_like(c) for c in x))
+    with pytest.raises(ConstructionError, match="permutation"):
+        SurfaceGraph.build(13)
 
 
 def test_build_refuses_past_int32_vertex_ids(monkeypatch):
