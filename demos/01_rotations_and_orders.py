@@ -43,5 +43,5 @@ for v in range(P):
     print(f"  v={v:2d}: {c.kind:10s} order {c.order:3d}{star}")
 
 print()
-print(f"maximal values, best class first: {cls.maximal_values()}")
+print(f"maximal values, ascending: {cls.maximal_values()}")
 print(f"point order of x (largest coordinate rotation order): {point_order(X, cls)}")

@@ -22,7 +22,7 @@ from .graph import SurfaceGraph, connectivity_check, spectral_gap
 from .lifts import (LiftTriple, bound_report, construction_exponent,
                     expander_alpha_ln, growth_bound_ln, minimal_lift_search,
                     parabolic_exponent, replay_integer)
-from .paths import CagePath, cage_route, construct_path, scan_to_cage, seed_table
+from .paths import CagePath, cage_route, construct_path, seed_table
 from .words import PathWord
 
 __version__ = "0.1.0"
@@ -35,5 +35,5 @@ __all__ = [
     "growth_bound_ln", "is_maximal", "lucas_pair", "maximal_index",
     "minimal_lift_search", "on_surface", "parabolic_exponent", "point_order",
     "replay_integer", "rot", "rot_inv", "rotation_order", "rotation_power",
-    "scan_to_cage", "seed_table", "spectral_gap", "__version__",
+    "seed_table", "spectral_gap", "__version__",
 ]

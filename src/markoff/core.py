@@ -146,7 +146,6 @@ class Classifier:
         self.two_thirds = 2 * inv3 % p
         self.minus_two_thirds = (p - 2) * inv3 % p
         self._memo: Dict[int, CoordClass] = {}
-        self._max_values: Optional[Tuple[int, ...]] = None
 
     def classify(self, x: int) -> CoordClass:
         x %= self.p
@@ -184,20 +183,10 @@ class Classifier:
         return self.classify(x).maximal
 
     def maximal_values(self) -> Tuple[int, ...]:
-        """All maximal coordinate values, by descending order class (2p, p+1, p-1),
-        ascending value within a class.  Cached; costs one sweep over F_p, so
-        of the commands only `cage-stats` calls it; routes test values one
-        at a time with `is_max_value`."""
-        if self._max_values is None:
-            buckets = {2 * self.p: [], self.p + 1: [], self.p - 1: []}
-            for v in range(self.p):
-                cc = self.classify(v)
-                if cc.maximal:
-                    buckets[cc.order].append(v)
-            self._max_values = tuple(
-                v for key in (2 * self.p, self.p + 1, self.p - 1) for v in buckets[key]
-            )
-        return self._max_values
+        """All maximal coordinate values, ascending.  Each call sweeps F_p, so
+        of the commands only `cage-stats` calls it; routes test values one at
+        a time with `is_max_value`."""
+        return tuple(v for v in range(self.p) if self.classify(v).maximal)
 
 
 def rotation_order(x: Triple, i: int, cls: Classifier) -> int:

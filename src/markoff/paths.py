@@ -9,14 +9,12 @@ conics whose fixed values also have maximal order (usually one), and in along
 the second point's maximal axis.  The chain comes from a breadth-first search
 that stops at the first conic adjacent to the target's, so no route sweeps
 F_p for the maximal values.  Points outside the cage, the seed (1, 1, 1) and
-the target alike, are first pushed into it:
-
-  * order above sqrt(p): scan the rotation orbits for a cage point,
-  * a 2/3 coordinate (rotation order exactly p): closed-form exit to the
-    value -2/3, because both moved coordinates are affine functions of the
-    step count,
-  * tiny order: climb to strictly larger orders one orbit scan at a time,
-    then reduce to the previous case.
+the target alike, are first pushed into it by one loop: a 2/3 coordinate
+(rotation order exactly p) exits in closed form to the value -2/3, because
+both moved coordinates are affine functions of the step count; otherwise the
+point moves to the first point of its rotation orbits that is better, one of
+strictly larger order while its order is at most sqrt(p), a cage point after
+that.
 
 A route is the seed's way into the cage reversed, a walk between the two
 cage points, then the target's way into the cage reversed.  Every route is
@@ -285,39 +283,6 @@ def orbit_scan(x: Triple, cls: Classifier) -> Iterator[Tuple[int, int, Triple]]:
             yield ax, -n, bwd
 
 
-def scan_to_cage(x: Triple, cls: Classifier) -> Optional[Tuple[int, int, Triple]]:
-    """(axis, n, point) with rot_axis^n(x) in the cage, or None.
-
-    The first cage point of `orbit_scan`; already-maximal x returns n=0."""
-    if is_maximal(x, cls):
-        return maximal_index(x, cls), 0, x
-    return next((hit for hit in orbit_scan(x, cls) if is_maximal(hit[2], cls)), None)
-
-
-def climb_orders(x: Triple, cls: Classifier) -> Optional[List[Tuple[int, int, Triple]]]:
-    """Greedy climb from a tiny-order point to one with order^2 > p.
-
-    Each move (axis, n, point) strictly increases the point order; a
-    parabolic or maximal coordinate anywhere in a scanned orbit ends the
-    climb at once since those orders are at least p.  The number of moves is
-    capped by the divisor count of p^2 - 1 (orders divide p-1, p+1 or 2p and
-    strictly increase); hitting the cap or a stuck orbit returns None."""
-    p = cls.p
-    cap = field.tau(p * p - 1) + 1
-    moves: List[Tuple[int, int, Triple]] = []
-    cur = x
-    while point_order(cur, cls) ** 2 <= p:
-        if len(moves) >= cap:
-            return None
-        base = point_order(cur, cls)
-        found = next((m for m in orbit_scan(cur, cls) if point_order(m[2], cls) > base), None)
-        if found is None:
-            return None
-        moves.append(found)
-        cur = found[2]
-    return moves
-
-
 def parabolic_axis(x: Triple, cls: Classifier) -> Optional[int]:
     """Axis carrying a 2/3 coordinate (rotation order exactly p), if any."""
     for i in (1, 2, 3):
@@ -354,32 +319,33 @@ def parabolic_exit(x: Triple, i: int, cls: Classifier) -> Tuple[int, Triple]:
 
 
 def _into_cage(x: Triple, cls: Classifier) -> Tuple[Triple, List[Stage]]:
-    """A cage point w and the stages from w out to x; dispatches on how far x
-    is from the cage and raises ConstructionError on any miss."""
+    """A cage point w and the stages from w out to x; raises ConstructionError
+    on a miss.
+
+    A point of order at most sqrt(p) is neither maximal (order >= p - 1) nor
+    parabolic (order >= p), so it climbs first.  Its order divides p - 1 or
+    p + 1, hence p^2 - 1, and each climb raises it, so fewer than
+    tau(p^2 - 1) climbs come before the cage entry."""
     p = cls.p
-    if is_maximal(x, cls):
-        return x, []
-
-    i = parabolic_axis(x, cls)
-    if i is not None:
-        k, w = parabolic_exit(x, i, cls)
-        return w, [Stage(PARABOLIC_HOP, ((i, _signed(-k, p)),), x)]
-
-    if point_order(x, cls) ** 2 > p:
-        hit = scan_to_cage(x, cls)
+    out: List[Stage] = []
+    while not is_maximal(x, cls):
+        i = parabolic_axis(x, cls)
+        if i is not None:
+            k, w = parabolic_exit(x, i, cls)
+            out.append(Stage(PARABOLIC_HOP, ((i, _signed(-k, p)),), x))
+            x = w
+            break
+        base = point_order(x, cls)
+        climb = base * base <= p
+        hit = next((h for h in orbit_scan(x, cls)
+                    if (point_order(h[2], cls) > base if climb else is_maximal(h[2], cls))),
+                   None)
         if hit is None:
-            raise ConstructionError(f"no cage point found on the orbits of {x} mod {p}")
+            raise ConstructionError(f"no better point on the orbits of {x} mod {p}")
         ax, n, w = hit
-        return w, [Stage(CAGE_ENTRY, ((ax, -n),), x)]
-
-    moves = climb_orders(x, cls)
-    if moves is None:
-        raise ConstructionError(f"order climb stalled at {x} mod {p}")
-    w, out = _into_cage(moves[-1][2], cls)
-    back = [x] + [m[2] for m in moves[:-1]]
-    for (ax, n, _), prev in zip(reversed(moves), reversed(back)):
-        out.append(Stage(ORDER_CLIMB, ((ax, -n),), prev))
-    return w, out
+        out.append(Stage(ORDER_CLIMB if climb else CAGE_ENTRY, ((ax, -n),), x))
+        x = w
+    return x, out[::-1]
 
 
 def _constructive_stages(x: Triple, cls: Classifier) -> List[Stage]:

@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/digests.py [NAME ...]
 
 prints `<sha256>  <NAME>` for each NAME (default: all, in the order below).
-Each digest hashes the stdout of the listed CLI runs, concatenated in order:
+Each CLI digest hashes the stdout of the listed CLI runs, concatenated in order:
 
     seed-paths         seed-paths --primes 5..199
     cage-stats         cage-stats --primes 5..300
@@ -14,6 +14,10 @@ Each digest hashes the stdout of the listed CLI runs, concatenated in order:
     export-csv         export -p 31 --format csv
     criterion-10-path  path -p P --to X for each criterion-10 target
     criterion-10-lift  lift -p P --to X --cap-digits 10000, same targets
+
+The `classes` digest is computed by the library, not by the CLI: it hashes
+one line `p,v,kind,order,maximal` (maximal as 0 or 1) per value v in
+0..p-1 of every prime 5 <= p <= 3000, from `Classifier(p).classify(v)`.
 
 The criterion-10 targets are those of test_criterion_10_path_soundness: all
 868 points of X*(31), then 500 per prime 5..199 drawn from random.Random(10),
@@ -31,6 +35,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
 from markoff import cli  # noqa: E402
+from markoff.core import Classifier  # noqa: E402
+from markoff.field import is_probable_prime  # noqa: E402
 from test_acceptance import PRIMES_199, _random_point  # noqa: E402
 
 
@@ -62,8 +68,21 @@ RUNS = {
 }
 
 
+def class_lines():
+    for p in range(5, 3001):
+        if is_probable_prime(p):
+            cls = Classifier(p)
+            for v in range(p):
+                c = cls.classify(v)
+                yield f"{p},{v},{c.kind},{c.order},{int(c.maximal)}\n"
+
+
 def digest(name: str) -> str:
     h = hashlib.sha256()
+    if name == "classes":
+        for line in class_lines():
+            h.update(line.encode())
+        return h.hexdigest()
     for argv in RUNS[name]():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -75,9 +94,10 @@ def digest(name: str) -> str:
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(RUNS)
-    unknown = [n for n in names if n not in RUNS]
+    known = [*RUNS, "classes"]
+    names = sys.argv[1:] or known
+    unknown = [n for n in names if n not in known]
     if unknown:
-        raise SystemExit(f"unknown digest {unknown}; choose from {list(RUNS)}")
+        raise SystemExit(f"unknown digest {unknown}; choose from {known}")
     for name in names:
         print(f"{digest(name)}  {name}", flush=True)

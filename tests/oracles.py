@@ -255,3 +255,75 @@ def fib(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+
+def into_cage_reference(x: Triple, cls):
+    """The cage entry as a three-way dispatch: a cage point w and the stages
+    from w out to x.  Parabolic exit; one orbit scan for a cage point when
+    the point order exceeds sqrt(p); otherwise a capped climb to strictly
+    larger orders, then a recursive call.  `paths._into_cage` must return
+    the same point and stages, and raise where this raises."""
+    from markoff import paths
+    from markoff.core import is_maximal, point_order
+    from markoff.errors import ConstructionError
+
+    p = cls.p
+    if is_maximal(x, cls):
+        return x, []
+
+    i = paths.parabolic_axis(x, cls)
+    if i is not None:
+        k, w = paths.parabolic_exit(x, i, cls)
+        return w, [paths.Stage(paths.PARABOLIC_HOP, ((i, paths._signed(-k, p)),), x)]
+
+    if point_order(x, cls) ** 2 > p:
+        hit = scan_to_cage_reference(x, cls)
+        if hit is None:
+            raise ConstructionError(f"no cage point found on the orbits of {x} mod {p}")
+        ax, n, w = hit
+        return w, [paths.Stage(paths.CAGE_ENTRY, ((ax, -n),), x)]
+
+    moves = climb_orders_reference(x, cls)
+    if moves is None:
+        raise ConstructionError(f"order climb stalled at {x} mod {p}")
+    w, out = into_cage_reference(moves[-1][2], cls)
+    back = [x] + [m[2] for m in moves[:-1]]
+    for (ax, n, _), prev in zip(reversed(moves), reversed(back)):
+        out.append(paths.Stage(paths.ORDER_CLIMB, ((ax, -n),), prev))
+    return w, out
+
+
+def scan_to_cage_reference(x: Triple, cls):
+    """(axis, n, point) with rot_axis^n(x) in the cage, or None: the first
+    cage point of `paths.orbit_scan`; an already-maximal x returns n = 0."""
+    from markoff.core import is_maximal, maximal_index
+    from markoff.paths import orbit_scan
+
+    if is_maximal(x, cls):
+        return maximal_index(x, cls), 0, x
+    return next((hit for hit in orbit_scan(x, cls) if is_maximal(hit[2], cls)), None)
+
+
+def climb_orders_reference(x: Triple, cls):
+    """Greedy climb from a point of order^2 <= p: moves (axis, n, point), each
+    to the first `paths.orbit_scan` point of strictly larger point order,
+    until order^2 > p.  None past tau(p^2 - 1) + 1 moves or on a stuck orbit."""
+    from markoff import field
+    from markoff.core import point_order
+    from markoff.paths import orbit_scan
+
+    p = cls.p
+    cap = field.tau(p * p - 1) + 1
+    moves = []
+    cur = x
+    while point_order(cur, cls) ** 2 <= p:
+        if len(moves) >= cap:
+            return None
+        base = point_order(cur, cls)
+        found = next((m for m in orbit_scan(cur, cls) if point_order(m[2], cls) > base), None)
+        if found is None:
+            return None
+        moves.append(found)
+        cur = found[2]
+    return moves

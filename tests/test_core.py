@@ -181,14 +181,10 @@ def test_point_order_and_maximal_index():
 
 
 def test_maximal_values_ordering():
-    cls = Classifier(13)
-    vals = cls.maximal_values()
-    orders = [cls.classify(v).order for v in vals]
-    # descending order class: 2p block, then p+1 block, then p-1 block
-    blocks = [2 * 13, 13 + 1, 13 - 1]
-    assert orders == sorted(orders, key=blocks.index)
-    for v, d in zip(vals, orders):
-        assert cls.classify(v).maximal and d in blocks
+    # ascending, and exactly the values of largest matrix order by repeated
+    # multiplication
+    for p in PRIMES_TO_61:
+        assert Classifier(p).maximal_values() == tuple(oracles.maximal_values(p)), p
 
 
 def test_check_point_rejects_garbage():

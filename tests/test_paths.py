@@ -13,14 +13,14 @@ from markoff.paths import (
     CagePath,
     SEED,
     cage_route,
-    climb_orders,
     construct_path,
     orbit_exponent,
     parabolic_axis,
     parabolic_exit,
-    scan_to_cage,
     seed_table,
 )
+
+PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
 
 def _replay_stages(stages, p):
@@ -210,49 +210,70 @@ def test_cage_route_every_maximal_point():
             assert sum(len(s.steps) for s in stages[1:]) <= 4
 
 
-def test_scan_to_cage_small_order_example():
+def _check_into_cage(x, w, stages, cls):
+    """The carried-over contract of the cage entry: w is in the cage, the
+    stages replay from w out to x, a caged x stays put, climbs come first
+    walking from x and strictly raise the point order until order^2 > p,
+    and a point of order above sqrt(p) without a 2/3 coordinate needs one
+    cage-entry scan."""
+    p = cls.p
+    assert paths.is_maximal(w, cls), (p, x)
+    cur = w
+    for stage in stages:
+        for axis, n in stage.steps:
+            cur = rotation_power(cur, axis, n, p)
+        assert cur == stage.endpoint, (p, x, stage)
+    assert cur == x, (p, x)
+    if paths.is_maximal(x, cls):
+        assert (w, stages) == (x, []), (p, x)
+    tags = [s.tag for s in reversed(stages)]
+    climbs = tags.count("order-climb")
+    assert tags[:climbs] == ["order-climb"] * climbs, (p, x, tags)
+    walk = [s.endpoint for s in reversed(stages)] + [w]
+    orders = [point_order(y, cls) for y in walk]
+    for j in range(climbs):
+        assert orders[j] ** 2 <= p and orders[j + 1] > orders[j], (p, x, orders)
+    assert orders[climbs] ** 2 > p, (p, x, orders)
+    if orders[0] ** 2 > p and parabolic_axis(x, cls) is None and not paths.is_maximal(x, cls):
+        assert tags == ["cage-entry"], (p, x, tags)
+    return climbs
+
+
+def test_into_cage_small_order_example():
     cls = Classifier(11)
-    assert scan_to_cage((1, 1, 1), cls) == (1, 1, (1, 1, 2))
+    w, stages = paths._into_cage((1, 1, 1), cls)
+    assert w == (1, 1, 2)
+    assert stages == [paths.Stage("cage-entry", ((1, -1),), (1, 1, 1))]
+    assert paths._into_cage((1, 1, 2), cls) == ((1, 1, 2), [])
 
 
-def test_scan_to_cage_exhaustive_to_61():
-    # Every point of large enough order reaches the cage by scanning one
-    # orbit; points whose largest order sits on a 2/3 coordinate are routed
-    # by the closed-form parabolic exit instead and are skipped here.
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+def test_into_cage_matches_reference_dispatch():
+    # The loop against the old dispatch (parabolic exit, one scan, or a climb
+    # and a recursive call): every point up to 61, then every climbing point
+    # at three larger primes.
+    climbed = 0
+    cases = [(p, oracles.surface_points(p)) for p in PRIMES_TO_61]
+    for p in (101, 151, 199):
         cls = Classifier(p)
-        for x in oracles.surface_points(p):
-            if paths.point_order(x, cls) ** 2 <= p:
-                continue
-            if parabolic_axis(x, cls) is not None and not paths.is_maximal(x, cls):
-                continue
-            hit = scan_to_cage(x, cls)
-            assert hit is not None, (p, x)
-            axis, n, w = hit
-            assert rotation_power(x, axis, n, p) == w
-            assert paths.is_maximal(w, cls)
-            if paths.is_maximal(x, cls):
-                assert n == 0 and w == x
-
-
-def test_climb_orders_strictly_increase():
-    seen = 0
-    for p in (31, 61, 101, 151, 199):
+        pts = (tuple(map(int, c)) for c in SurfaceGraph.build(p).coords)
+        cases.append((p, [x for x in pts if point_order(x, cls) ** 2 <= p]))
+    for p, pts in cases:
         cls = Classifier(p)
-        for x in oracles.surface_points(p):
-            base = paths.point_order(x, cls)
-            if base * base > p:
-                continue
-            seen += 1
-            moves = climb_orders(x, cls)
-            assert moves is not None, (p, x)
-            cur, prev_ord = x, base
-            for axis, n, y in moves:
-                assert rotation_power(cur, axis, n, p) == y
-                assert paths.point_order(y, cls) > prev_ord
-                cur, prev_ord = y, paths.point_order(y, cls)
-            assert prev_ord * prev_ord > p
-    assert seen > 0  # the sweep must actually exercise the climb
+        for x in pts:
+            got = paths._into_cage(x, cls)
+            assert got == oracles.into_cage_reference(x, cls), (p, x)
+            climbed += _check_into_cage(x, *got, cls) > 0
+    assert climbed > 0  # the sweep must actually exercise the climb
+
+
+def test_two_move_climb_p181():
+    # The only climb of two moves for p <= 199; the golden words have none,
+    # so this pins the order the climb stages come back in.
+    path = construct_path(181, (95, 41, 95))
+    assert str(path.word) == "r1^1.r3^-2.r1^77.r2^4.r3^-1.r1^-1"
+    assert path.stage_tags() == ("seed", "cage-hop", "cage-entry", "order-climb", "order-climb")
+    assert [s.endpoint for s in path.stages[2:]] == [(95, 149, 65), (95, 95, 65), (95, 41, 95)]
+    assert not path.used_fallback
 
 
 def test_parabolic_orbit_structure():
