@@ -247,19 +247,29 @@ def test_into_cage_small_order_example():
     assert paths._into_cage((1, 1, 2), cls) == ((1, 1, 2), [])
 
 
-def test_into_cage_matches_reference_dispatch():
-    # The loop against the old dispatch (parabolic exit, one scan, or a climb
-    # and a recursive call): every point up to 61, then every climbing point
-    # at three larger primes.
-    climbed = 0
-    cases = [(p, oracles.surface_points(p)) for p in PRIMES_TO_61]
-    for p in (101, 151, 199):
+def test_scan_to_cage_exhaustive_to_61():
+    # Every point up to 61 enters the cage as the old dispatch (parabolic
+    # exit, one orbit scan, or a climb and a recursive call) has it.
+    for p in PRIMES_TO_61:
         cls = Classifier(p)
-        pts = (tuple(map(int, c)) for c in SurfaceGraph.build(p).coords)
-        cases.append((p, [x for x in pts if point_order(x, cls) ** 2 <= p]))
+        for x in oracles.surface_points(p):
+            got = paths._into_cage(x, cls)
+            assert got == oracles.into_cage_reference(x, cls), (p, x)
+            _check_into_cage(x, *got, cls)
+
+
+def test_climb_orders_strictly_increase():
+    # Every point of order at most sqrt(p) climbs to strictly larger orders
+    # before it enters the cage, as the old dispatch has it.
+    climbed = 0
+    cases = [(p, oracles.surface_points(p)) for p in (31, 61)]
+    for p in (101, 151, 199):
+        cases.append((p, [tuple(map(int, c)) for c in SurfaceGraph.build(p).coords]))
     for p, pts in cases:
         cls = Classifier(p)
         for x in pts:
+            if point_order(x, cls) ** 2 > p:
+                continue
             got = paths._into_cage(x, cls)
             assert got == oracles.into_cage_reference(x, cls), (p, x)
             climbed += _check_into_cage(x, *got, cls) > 0
