@@ -10,7 +10,8 @@ dense N x 6 id array in the column order rot1, rot1^-1, rot2, rot2^-1, rot3,
 rot3^-1: the forward columns are core.rot applied to the coordinate columns,
 and each inverse column is the inverse permutation of its forward column.
 That column order is also the BFS tie-break, so extracted shortest paths are
-deterministic; BFS marks visits in a one-byte mask; components are repeated BFS.
+deterministic; BFS marks visits in a one-byte mask.  Components are floods
+along the forward columns alone, which build no tree.
 
 Vertex counts obey |X*(p)| = p^2 + 3p for p = 1 (mod 4) and p^2 - 3p for
 p = 3 (mod 4); construction checks this, that every rotation image lands
@@ -245,13 +246,27 @@ class ComponentReport:
 
 
 def components(g: SurfaceGraph) -> ComponentReport:
-    """Component sizes from repeated BFS, each rooted at the lowest unreached id."""
-    reached = np.zeros(len(g), dtype=bool)
+    """Component sizes, descending, by floods along the three forward columns.
+
+    Precondition: each forward column of g.adj permutes the ids, as
+    SurfaceGraph.build checks.  For a permutation s, every edge u -> s(u) lies
+    on an s-cycle of some length k, so s^-1(u) = s^(k-1)(u) is reached going
+    forward: what the forward columns reach from a root is exactly its
+    undirected component.  Each flood starts at the lowest unseen id; the
+    level mask dedupes each frontier, so duplicates never multiply.
+    """
+    fwd = g.adj[:, 0::2]
+    seen, level = np.zeros(len(g), dtype=bool), np.zeros(len(g), dtype=bool)
     sizes = []
-    while not reached.all():
-        hit = bfs(g, int(reached.argmin())).depth >= 0
-        reached |= hit
-        sizes.append(int(hit.sum()))
+    while not seen.all():
+        frontier = np.array([seen.argmin()])
+        sizes.append(0)
+        while len(frontier):
+            seen[frontier], level[frontier] = True, False
+            sizes[-1] += len(frontier)
+            cand = fwd[frontier].ravel()
+            level[cand[~seen[cand]]] = True
+            frontier = np.flatnonzero(level)
     sizes.sort(reverse=True)
     return ComponentReport(p=g.p, sizes=sizes)
 

@@ -2,7 +2,9 @@
 
     PYTHONPATH=src python tests/digests.py [NAME ...]
 
-prints `<sha256>  <NAME>` for each NAME (default: all, in the order below).
+prints `<sha256>  <NAME>  ok|CHANGED` for each NAME (default: all, in the
+order below), comparing against the digest recorded in EXPECTED, and exits 1
+if any named digest changed.
 Each CLI digest hashes the stdout of the listed CLI runs, concatenated in order:
 
     seed-paths         seed-paths --primes 5..199
@@ -22,6 +24,11 @@ one line `p,v,kind,order,maximal` (maximal as 0 or 1) per value v in
 The criterion-10 targets are those of test_criterion_10_path_soundness: all
 868 points of X*(31), then 500 per prime 5..199 drawn from random.Random(10),
 22868 in all.  The lift digest takes a few minutes.
+
+EXPECTED holds the digests each name gave on a 2-core x86-64 Linux machine
+with numpy's default BLAS thread count.  The `bounds` bytes can depend on
+that count: the last digits of the eigenvalue estimate do, and the bytes
+agree only while the six-digit rounding of h hides them.
 """
 
 import contextlib
@@ -68,6 +75,23 @@ RUNS = {
 }
 
 
+EXPECTED = {
+    "seed-paths": "96462db892ca1028e5395008a9d2413d5311db3d58b676566bc0522a2a0c2388",
+    "cage-stats": "ddb0d466f47a8f9ab7d5b78bfe499d0aff0a0111f43af507a00f7739316ecf24",
+    "connectivity": "30273265339a9cecea4f39205842627fa06e7bd1c29b01bab2e36d8a9e46d2dc",
+    "connectivity-band": "55976e3a4122304fff6b6e2c9d1e08d995befd4595a4d106eaf3bae36d098050",
+    "bounds": "28160ce7b0ad35d8a7eaca2ad1ccb7fa7b573f3af3cfa7cd91ed52753cefffed",
+    "export-dot": "059ba032bb3e16c16490d5dc1f6e64e0eabb206943e2550f6a2881f2d08116a8",
+    "export-csv": "7927ba12a8759eb8ab9df65755c067e85f848dc4fbcf1546fa13909e677efdbd",
+    "criterion-10-path": "1e1a807d15aae9b7bc8586175443fe4c32eb95fde4eaf19cdbcd47409c16825a",
+    "criterion-10-lift": "93717c39232ee3caccc16830869ffe2fb0952b2f36e995f1425ba2c66d283fac",
+    "classes": "dcd736cccbf532cc674a6c23b0ae8304f290cb172db3f5350ca8c1e92b54b989",
+    "2m29.653s": "real",
+    "2m34.137s": "user",
+    "0m0.892s": "sys",
+}
+
+
 def class_lines():
     for p in range(5, 3001):
         if is_probable_prime(p):
@@ -99,5 +123,10 @@ if __name__ == "__main__":
     unknown = [n for n in names if n not in known]
     if unknown:
         raise SystemExit(f"unknown digest {unknown}; choose from {known}")
+    changed = False
     for name in names:
-        print(f"{digest(name)}  {name}", flush=True)
+        h = digest(name)
+        ok = h == EXPECTED[name]
+        changed |= not ok
+        print(f"{h}  {name}  {'ok' if ok else 'CHANGED'}", flush=True)
+    sys.exit(1 if changed else 0)

@@ -106,6 +106,18 @@ def bfs_queue(adj, root: int) -> Tuple[List[int], List[int], List[int]]:
     return depth, parent, via
 
 
+def component_sizes(adj) -> List[int]:
+    """Component sizes, descending, by repeated queue BFS over all six columns."""
+    reached: Set[int] = set()
+    sizes = []
+    for root in range(len(adj)):
+        if root not in reached:
+            comp = {v for v, d in enumerate(bfs_queue(adj, root)[0]) if d >= 0}
+            reached |= comp
+            sizes.append(len(comp))
+    return sorted(sizes, reverse=True)
+
+
 def orbit(x: Triple, i: int, p: int) -> List[Triple]:
     """Forward rot_i orbit of x, starting at x, by stepping until return."""
     out = [x]

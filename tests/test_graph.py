@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,13 +60,17 @@ def test_adjacency_and_coords_digest_primes_to_199():
     assert h.hexdigest() == "5c8eb934c4b82780c12270b21aa34162c64c16fd9abe80ac13402eb8736e16b6"
 
 
-def test_adjacency_coords_and_bfs_digest_p997():
+@pytest.fixture(scope="module")
+def g997():
+    return SurfaceGraph.build(997)
+
+
+def test_adjacency_coords_and_bfs_digest_p997(g997):
     # the graph-sweep band's largest prime, pinned past the p <= 199 digest above
-    g = SurfaceGraph.build(997)
-    h = hashlib.sha256(g.adj.astype("<i4").tobytes())
-    h.update(g.coords.astype("<i4").tobytes())
+    h = hashlib.sha256(g997.adj.astype("<i4").tobytes())
+    h.update(g997.coords.astype("<i4").tobytes())
     assert h.hexdigest() == "2cee1153e11215ac0de4f9c5294655f53a7b183321db22be5550a1123227a30f"
-    tree = bfs(g, 0)
+    tree = bfs(g997, 0)
     h = hashlib.sha256(tree.depth.astype("<i4").tobytes())
     h.update(tree.parent.astype("<i4").tobytes())
     h.update(tree.via.astype("i1").tobytes())
@@ -194,13 +199,18 @@ def test_maximal_orbit_value_zero_exception_mod_5():
     assert sorted(set(orbit) | set(other)) == sorted(int(i) for i in ids)
 
 
+def disjoint_union(a, b):
+    """The graphs a and b side by side, b's ids offset by len(a); p and the
+    offset table are a's, so only adjacency-driven code may use the result."""
+    return SurfaceGraph(p=a.p, keys=np.concatenate([a.keys, b.keys]),
+                        coords=np.vstack([a.coords, b.coords]),
+                        adj=np.vstack([a.adj, b.adj + len(a)]), first=a.first)
+
+
 def doubled_p5_graph():
-    """Two disjoint copies of the p = 5 graph, ids n.. for the second."""
+    """Two disjoint copies of the p = 5 graph, ids 40.. for the second."""
     g = SurfaceGraph.build(5)
-    n = len(g)
-    return SurfaceGraph(p=5, keys=np.concatenate([g.keys, g.keys]),
-                        coords=np.vstack([g.coords, g.coords]),
-                        adj=np.vstack([g.adj, g.adj + n]), first=g.first)
+    return disjoint_union(g, g)
 
 
 def assert_bfs_matches_queue_oracle(g, root):
@@ -270,6 +280,32 @@ def test_components_connected_small_primes():
 def test_components_counts_each_copy_of_a_doubled_graph():
     rep = components(doubled_p5_graph())
     assert rep.sizes == [40, 40] and not rep.connected and rep.vertices == 80
+
+
+def test_components_match_queue_oracle():
+    for p in PRIMES_TO_61:
+        g = SurfaceGraph.build(p)
+        assert components(g).sizes == oracles.component_sizes(g.adj)
+    # unequal parts in both id orders: floods find 28 before 40 in the second
+    g5, g7 = SurfaceGraph.build(5), SurfaceGraph.build(7)
+    for union in (disjoint_union(g5, g7), disjoint_union(g7, g5)):
+        assert components(union).sizes == oracles.component_sizes(union.adj) == [40, 28]
+
+
+def test_components_build_no_bfs_tree_p997(g997, monkeypatch):
+    # a BFS tree costs depth, parent, via and a slot per vertex (34 B/vertex);
+    # the flood keeps two byte masks and level-sized temporaries
+    def no_bfs(*args):
+        raise AssertionError("components must not build a BFS tree")
+    monkeypatch.setattr(graph, "bfs", no_bfs)
+    tracemalloc.start()
+    try:
+        rep = components(g997)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.sizes == [len(g997)]
+    assert peak < 16 * len(g997)
 
 
 def test_spectral_gap_matches_dense_eigensolver_with_multi_edges():
