@@ -7,14 +7,16 @@ section, so two cage points can be joined by walking whole orbits: out along
 the first point's maximal axis to a meet point, across a chain of bridging
 conics whose fixed values also have maximal order (usually one), and in along
 the second point's maximal axis.  The chain comes from a breadth-first search
-that stops at the first conic adjacent to the target's, so no route sweeps
-F_p for the maximal values.  Points outside the cage, the seed (1, 1, 1) and
-the target alike, are first pushed into it by one loop: a 2/3 coordinate
-(rotation order exactly p) exits in closed form to the value -2/3, because
-both moved coordinates are affine functions of the step count; otherwise the
-point moves to the first point of its rotation orbits that is better, one of
-strictly larger order while its order is at most sqrt(p), a cage point after
-that.
+that stops at the first conic adjacent to the target's and tests the target's
+own axis only when a level has no such conic, so no route sweeps F_p for the
+maximal values.  The exponent of each orbit walk is a discrete log in the
+ring F_p[M] of the rotation matrix, not a count of single steps.
+Points outside the cage, the seed (1, 1, 1) and the target alike, are first
+pushed into it by one loop: a 2/3 coordinate (rotation order exactly p)
+exits in closed form to the value -2/3, because both moved coordinates are
+affine functions of the step count; otherwise the point moves to the first
+point of its rotation orbits that is better, one of strictly larger order
+while its order is at most sqrt(p), a cage point after that.
 
 A route is the seed's way into the cage reversed, a walk between the two
 cage points, then the target's way into the cage reversed.  Every route is
@@ -23,15 +25,19 @@ breadth-first search over the enumerated graph; the stage tags record which
 happened so callers can tell a pure construction from a rescued one.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from . import field
 from .core import (
+    HYPERBOLIC,
+    PARABOLIC,
     Classifier,
     Triple,
     check_point,
     is_maximal,
+    lucas_pair,
     maximal_index,
     point_order,
     rot,
@@ -102,20 +108,85 @@ def seed_table(primes) -> List[Tuple[int, Optional[int], Tuple[Triple, ...]]]:
     return rows
 
 
+def _mul(g: Tuple[int, int], h: Tuple[int, int], P: int, p: int) -> Tuple[int, int]:
+    """Product in F_p[M] = F_p[t]/(t^2 - P t + 1), a + b t stored as (a, b)."""
+    (a, b), (c, d) = g, h
+    return (a * c - b * d) % p, (a * d + b * c + P * b * d) % p
+
+
+def _pow(g: Tuple[int, int], n: int, P: int, p: int) -> Tuple[int, int]:
+    """g^n for n >= 0 and g of norm 1: g^2 = T g - 1 for the trace T, so
+    g^n = u_n(T) g - u_{n-1}(T) with the Lucas sequence of `lucas_pair`."""
+    T = (2 * g[0] + P * g[1]) % p
+    u, u1 = lucas_pair(T, n, p)
+    return (u * g[0] - T * u + u1) % p, u * g[1] % p
+
+
+def _bsgs(g: Tuple[int, int], h: Tuple[int, int], n: int, P: int, p: int) -> int:
+    """k in [0, n) with g^k = h for g of order n (Shanks); 0 when there is none."""
+    m = math.isqrt(n - 1) + 1
+    baby, y = {}, (1, 0)
+    for j in range(m):
+        baby[y] = j
+        y = _mul(y, g, P, p)
+    giant = _pow(g, -m % n, P, p)
+    for i in range(m):
+        if h in baby:
+            return (i * m + baby[h]) % n
+        h = _mul(h, giant, P, p)
+    return 0
+
+
+def _dlog(g: Tuple[int, int], order: int, fact, P: int, p: int) -> int:
+    """k in [0, order) with t^k = g in F_p[t]/(t^2 - P t + 1), t of that order and
+    its primes among fact's (Pohlig-Hellman: k mod each q^e a base-q digit at a
+    time, each digit by `_bsgs` in the order-q subgroup, joined by the Chinese
+    remainder theorem).  When g is not a power of t the k is wrong."""
+    k, mod = 0, 1
+    for q, e in fact.items():
+        qe = math.gcd(order, q ** e)
+        tq, gq = _pow((0, 1), order // qe, P, p), _pow(g, order // qe, P, p)
+        gamma, x, qj = _pow(tq, qe // q, P, p), 0, 1
+        while qj < qe:
+            h = _pow(_mul(gq, _pow(tq, qe - x, P, p), P, p), qe // qj // q, P, p)
+            x, qj = x + _bsgs(gamma, h, q, P, p) * qj, qj * q
+        k, mod = k + mod * ((x - k) * pow(mod, -1, qe) % qe), mod * qe
+    return k
+
+
 def orbit_exponent(src: Triple, axis: int, dst: Triple, cls: Classifier) -> Optional[int]:
     """Signed n of smallest |n| with rot_axis^n(src) = dst, or None if dst is
-    not on the orbit.  Ties between n and n - order go to the positive side."""
-    order = rotation_order(src, axis, cls)
-    y = src
-    hit = None
-    for n in range(order):
-        if y == dst:
-            hit = n
-            break
-        y = rot(y, axis, cls.p)
-    if hit is None:
+    not on the orbit.  Ties between n and n - order go to the positive side.
+
+    On the moved pair rot_axis acts as M = [[0, 1], [-1, 3x]]; solve
+    (a I + b M) src = dst (determinant x^2 on the surface) and take
+    log_M(a + b M) in F_p[M] by `_dlog`.  A parabolic M^n is e^n ((1 - n) I
+    + n e M) with e = 3x/2 = +-1, a closed form; x = 0 (order 4) is scanned.
+    Every n is replayed, so a dst on the conic but off the orbit (a split or
+    non-maximal conic) gives None."""
+    p, x = cls.p, src[axis - 1]
+    if dst[axis - 1] != x:
         return None
-    return _signed(hit, order)
+    cc = cls.classify(x)
+    order, P = cc.order, 3 * x % p
+    if x == 0:
+        n = next((n for n in range(order) if rotation_power(src, axis, n, p) == dst), None)
+    else:
+        (a, b), (c, d) = ([t[i] for i in range(3) if i != axis - 1] for t in (src, dst))
+        r = pow(x, -2, p)
+        g = ((c * (P * b - a) - b * d) * r % p, (a * d - b * c) * r % p)
+        if cc.kind == PARABOLIC:
+            e = 1 if order == p else -1
+            s = (g[0] + e * g[1]) % p  # e^n
+            n = e * s * g[1] % p
+            if order == 2 * p and (n % 2 == 0) != (s == 1):
+                n += p
+        else:
+            fact = cls.fact_pm1 if cc.kind == HYPERBOLIC else cls.fact_pp1
+            n = _dlog(g, order, fact, P, p)
+    if n is None or rotation_power(src, axis, n, p) != dst:
+        return None
+    return _signed(n, order)
 
 
 def _meet_points(axis_a: int, val_a: int, axis_b: int, val_b: int, p: int) -> Tuple[Triple, ...]:
@@ -160,38 +231,42 @@ def _conic_chain(start: Tuple[int, int], goal: Tuple[int, int],
 
     Breadth-first, each conic expanding to the other axes ascending and the
     nonzero maximal values ascending, both tested on demand (no sweep of
-    F_p).  A full search stops on generating the goal, i.e. while expanding
-    the first conic in queue order adjacent to the goal; generation order is
-    queue order, so testing adjacency as each conic is generated, start
-    first, finds the same parent a level sooner and the same chain.  With
-    start == goal (two halves of a split conic) that parent is the first
-    conic generated after start."""
+    F_p).  It stops at the first conic in generation order off the goal's
+    axis that meets the goal (start == goal, two halves of a split conic,
+    takes the first one generated).  Goal-axis conics cannot be it and do not
+    move the order or parents of the others, so each level is first probed
+    without them, then generated in full only if the probe comes up empty."""
     p = cls.p
+    goal_ax, goal_v = goal
     parent = {start: None}
 
-    def generated() -> Iterator[Tuple[int, int]]:
-        yield start
-        queue = [start]
-        for node in queue:
+    def children(level, skip):
+        for node in level:
             ax, v = node
             for ax2 in (1, 2, 3):
-                if ax2 == ax:
+                if ax2 == ax or ax2 == skip:
                     continue
                 for v2 in range(1, p):
                     cand = (ax2, v2)
                     if cand not in parent and _meets(v, v2, p) and cls.is_max_value(v2):
-                        parent[cand] = node
-                        queue.append(cand)
-                        yield cand
+                        yield node, cand
 
-    goal_ax, goal_v = goal
-    for node in generated():
-        if node[0] != goal_ax and _meets(node[1], goal_v, p):
-            chain = [goal]
-            while node is not None:
-                chain.append(node)
-                node = parent[node]
-            return chain[::-1]
+    if start[0] != goal_ax and _meets(start[1], goal_v, p):
+        return [start, goal]
+    level = [start]
+    while level:
+        for node, cand in children(level, goal_ax):
+            if _meets(cand[1], goal_v, p):
+                chain = [goal, cand]
+                while node is not None:
+                    chain.append(node)
+                    node = parent[node]
+                return chain[::-1]
+        nxt = []
+        for node, cand in children(level, None):
+            parent[cand] = node
+            nxt.append(cand)
+        level = nxt
     return None
 
 

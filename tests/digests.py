@@ -4,7 +4,8 @@
 
 prints `<sha256>  <NAME>  ok|CHANGED` for each NAME (default: all, in the
 order below), comparing against the digest recorded in EXPECTED, and exits 1
-if any named digest changed.
+if any named digest changed.  It exits 1 before hashing anything when the
+names in EXPECTED are not exactly the digest names.
 Each CLI digest hashes the stdout of the listed CLI runs, concatenated in order:
 
     seed-paths         seed-paths --primes 5..199
@@ -73,6 +74,7 @@ RUNS = {
     "criterion-10-path": lambda: _per_target("path"),
     "criterion-10-lift": lambda: _per_target("lift", "--cap-digits", "10000"),
 }
+NAMES = [*RUNS, "classes"]
 
 
 EXPECTED = {
@@ -86,9 +88,6 @@ EXPECTED = {
     "criterion-10-path": "1e1a807d15aae9b7bc8586175443fe4c32eb95fde4eaf19cdbcd47409c16825a",
     "criterion-10-lift": "93717c39232ee3caccc16830869ffe2fb0952b2f36e995f1425ba2c66d283fac",
     "classes": "dcd736cccbf532cc674a6c23b0ae8304f290cb172db3f5350ca8c1e92b54b989",
-    "2m29.653s": "real",
-    "2m34.137s": "user",
-    "0m0.892s": "sys",
 }
 
 
@@ -118,11 +117,12 @@ def digest(name: str) -> str:
 
 
 if __name__ == "__main__":
-    known = [*RUNS, "classes"]
-    names = sys.argv[1:] or known
-    unknown = [n for n in names if n not in known]
+    if set(EXPECTED) != set(NAMES):
+        raise SystemExit(f"EXPECTED names {sorted(EXPECTED)} differ from the digests {NAMES}")
+    names = sys.argv[1:] or NAMES
+    unknown = [n for n in names if n not in NAMES]
     if unknown:
-        raise SystemExit(f"unknown digest {unknown}; choose from {known}")
+        raise SystemExit(f"unknown digest {unknown}; choose from {NAMES}")
     changed = False
     for name in names:
         h = digest(name)

@@ -128,6 +128,13 @@ def orbit(x: Triple, i: int, p: int) -> List[Triple]:
     return out
 
 
+def orbit_exponents(x: Triple, i: int, p: int) -> Dict[Triple, int]:
+    """Point -> signed n of least |n| with rot_i^n(x) = point, ties to +, over
+    the rot_i orbit of x, by walking it one rotation at a time."""
+    orb = orbit(x, i, p)
+    return {y: n if 2 * n <= len(orb) else n - len(orb) for n, y in enumerate(orb)}
+
+
 def matrix_order(x: int, p: int) -> int:
     """Order of [[0,1],[-1,3x]] in SL2(F_p), by repeated multiplication."""
     a, b, c, d = 0, 1, -1 % p, 3 * x % p

@@ -295,3 +295,9 @@ def test_parse_point_and_range():
         cli.parse_point("1,2")
     with pytest.raises(Exception):
         cli.parse_prime_range("10-20")
+
+
+def test_digest_script_expects_exactly_its_names():
+    import digests
+
+    assert set(digests.EXPECTED) == set(digests.NAMES)

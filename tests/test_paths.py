@@ -105,6 +105,62 @@ def test_orbit_exponent_off_orbit_is_none():
     assert orbit_exponent((1, 1, 1), 1, (2, 2, 3), cls) is None
 
 
+def _conics(p):
+    """(axis, value) -> the surface points with that value on that axis."""
+    out = {}
+    for x in oracles.surface_points(p):
+        for axis in (1, 2, 3):
+            out.setdefault((axis, x[axis - 1]), []).append(x)
+    return out
+
+
+def test_orbit_exponent_matches_walk_small_primes():
+    # Every (src, dst) pair of every conic for p <= 19, then one seeded
+    # source per conic for p <= 61: the discrete log must return what the
+    # walk returns, None for the points of the conic off the orbit.
+    rng = random.Random(15)
+    for p in PRIMES_TO_61:
+        cls = Classifier(p)
+        for (axis, v), pts in _conics(p).items():
+            for src in pts if p <= 19 else [rng.choice(pts)]:
+                want = oracles.orbit_exponents(src, axis, p)
+                for dst in pts:
+                    assert orbit_exponent(src, axis, dst, cls) == want.get(dst), (p, src, axis, dst)
+
+
+def _conic_points(axis, v, p, rng, k):
+    other = 1 if axis != 1 else 2
+    out = []
+    while len(out) < k:
+        out.extend(paths._meet_points(axis, v, other, rng.randrange(p), p))
+    return out
+
+
+@pytest.mark.parametrize("p", [2017, 10007])
+def test_orbit_exponent_matches_walk_large_primes(p):
+    # +-2/3 (orders p and 2p) and value 0 (order 4), whose conics are empty
+    # when p = 3 mod 4, non-maximal values whose conic holds several orbits,
+    # and maximal ones, on seeded axes, against orbit points and random
+    # points of the conic; a point with a different fixed coordinate gives None.
+    cls = Classifier(p)
+    rng = random.Random(p)
+    small = [v for v in range(1, p) if 50 < cls.classify(v).order < p - 1][:3]
+    big = [v for v in range(1, p) if cls.is_max_value(v)][:2]
+    values = small + big + ([cls.two_thirds, cls.minus_two_thirds, 0] if p % 4 == 1 else [])
+    missed = 0
+    for v in values:
+        axis = rng.choice((1, 2, 3))
+        src, *others = _conic_points(axis, v, p, rng, 8)
+        want = oracles.orbit_exponents(src, axis, p)
+        orb = list(want)
+        for dst in others + [rng.choice(orb) for _ in range(8)] + orb[:2] + orb[-2:]:
+            assert orbit_exponent(src, axis, dst, cls) == want.get(dst), (p, src, axis, dst)
+        missed += v in small and any(dst not in want for dst in others)
+        off = _conic_points(axis, v + 1, p, rng, 1)[0]
+        assert orbit_exponent(src, axis, off, cls) is None
+    assert missed == len(small) == 3
+
+
 def test_meet_points_lie_on_surface():
     p = 19
     rng = random.Random(3)
@@ -432,7 +488,19 @@ def test_construct_path_matches_golden_words():
     # mesh was removed; the lines at 263..1039 where no rot_1 power up to 5
     # reaches the cage, and at 521 where (1,1,1) climbs, were re-recorded
     # when the seed began entering the cage like any other point.
-    lines = (Path(__file__).parent / "golden" / "route_words.txt").read_text().splitlines()
+    _check_golden_words("route_words.txt")
+
+
+def test_construct_path_matches_large_prime_golden_words():
+    # 10 targets each at p = 1000003 and 10000019, drawn like the ones above
+    # and recorded while orbit exponents were still found by walking the
+    # orbit and the chain search still tested the goal's own axis first.  The
+    # third at 1000003 is the target of test_conic_chain_defers_the_goal_axis.
+    _check_golden_words("route_words_large.txt")
+
+
+def _check_golden_words(name):
+    lines = (Path(__file__).parent / "golden" / name).read_text().splitlines()
     cls = None
     for line in lines:
         p_text, x_text, want = line.split()
@@ -442,6 +510,19 @@ def test_construct_path_matches_golden_words():
         x = tuple(int(c) for c in x_text.split(","))
         path = construct_path(p, x, cls=cls)
         assert str(path.word) == want and not path.used_fallback, line
+
+
+def test_conic_chain_defers_the_goal_axis(monkeypatch):
+    # The chain runs (1, 1) -> (3, 2) -> (2, 538284).  Expanding (1, 1) in
+    # order tests every value on axis 2, the goal's own axis, before axis 3;
+    # none of those can link to the goal, and testing them all cost 1,000,007
+    # `_meets` calls before the goal axis was deferred.
+    calls = []
+    meets = paths._meets
+    monkeypatch.setattr(paths, "_meets", lambda a, b, p: calls.append(p) or meets(a, b, p))
+    path = construct_path(1000003, (181732, 538284, 733925))
+    assert str(path.word) == "r1^-2.r3^29361.r2^-154808" and not path.used_fallback
+    assert len(calls) <= 50
 
 
 def test_construct_path_never_sweeps_maximal_values(monkeypatch):
