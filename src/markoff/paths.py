@@ -7,10 +7,9 @@ section, so two cage points can be joined by walking whole orbits: out along
 the first point's maximal axis to a meet point, across a chain of bridging
 conics whose fixed values also have maximal order (usually one), and in along
 the second point's maximal axis.  The chain comes from a breadth-first search
-that stops at the first conic adjacent to the target's and tests the target's
-own axis only when a level has no such conic, so no route sweeps F_p for the
-maximal values.  The exponent of each orbit walk is a discrete log in the
-ring F_p[M] of the rotation matrix, not a count of single steps.
+that stops at the first conic adjacent to the target's and never expands onto
+the target's own axis, so no route sweeps F_p for the maximal values; orbit
+exponents are discrete logs in F_p[M], M the rotation matrix, not step counts.
 Points outside the cage, the seed (1, 1, 1) and the target alike, are first
 pushed into it by one loop: a 2/3 coordinate (rotation order exactly p)
 exits in closed form to the value -2/3, because both moved coordinates are
@@ -139,17 +138,14 @@ def _bsgs(g: Tuple[int, int], h: Tuple[int, int], n: int, P: int, p: int) -> int
 
 def _dlog(g: Tuple[int, int], order: int, fact, P: int, p: int) -> int:
     """k in [0, order) with t^k = g in F_p[t]/(t^2 - P t + 1), t of that order and
-    its primes among fact's (Pohlig-Hellman: k mod each q^e a base-q digit at a
-    time, each digit by `_bsgs` in the order-q subgroup, joined by the Chinese
-    remainder theorem).  When g is not a power of t the k is wrong."""
+    its primes among fact's (Pohlig-Hellman: k mod each prime power q^e by
+    `_bsgs` in the order-q^e subgroup, joined by the Chinese remainder
+    theorem).  When g is not a power of t the k is wrong."""
     k, mod = 0, 1
     for q, e in fact.items():
         qe = math.gcd(order, q ** e)
         tq, gq = _pow((0, 1), order // qe, P, p), _pow(g, order // qe, P, p)
-        gamma, x, qj = _pow(tq, qe // q, P, p), 0, 1
-        while qj < qe:
-            h = _pow(_mul(gq, _pow(tq, qe - x, P, p), P, p), qe // qj // q, P, p)
-            x, qj = x + _bsgs(gamma, h, q, P, p) * qj, qj * q
+        x = _bsgs(tq, gq, qe, P, p)
         k, mod = k + mod * ((x - k) * pow(mod, -1, qe) % qe), mod * qe
     return k
 
@@ -231,42 +227,40 @@ def _conic_chain(start: Tuple[int, int], goal: Tuple[int, int],
 
     Breadth-first, each conic expanding to the other axes ascending and the
     nonzero maximal values ascending, both tested on demand (no sweep of
-    F_p).  It stops at the first conic in generation order off the goal's
-    axis that meets the goal (start == goal, two halves of a split conic,
-    takes the first one generated).  Goal-axis conics cannot be it and do not
-    move the order or parents of the others, so each level is first probed
-    without them, then generated in full only if the probe comes up empty."""
+    F_p).  A full search stops on generating the goal, i.e. while expanding
+    the first conic in queue order adjacent to the goal; generation order is
+    queue order, so testing adjacency as each conic is generated, start
+    first, finds the same parent a level sooner and the same chain.  With
+    start == goal (two halves of a split conic) that parent is the first
+    conic generated after start.  The goal's axis is never expanded: none of
+    its conics can be the goal's parent, and meeting depends on values only,
+    so a chain's middle conics can alternate between the other two axes."""
     p = cls.p
     goal_ax, goal_v = goal
     parent = {start: None}
 
-    def children(level, skip):
-        for node in level:
+    def generated() -> Iterator[Tuple[int, int]]:
+        yield start
+        queue = [start]
+        for node in queue:
             ax, v = node
             for ax2 in (1, 2, 3):
-                if ax2 == ax or ax2 == skip:
+                if ax2 == ax or ax2 == goal_ax:
                     continue
                 for v2 in range(1, p):
                     cand = (ax2, v2)
                     if cand not in parent and _meets(v, v2, p) and cls.is_max_value(v2):
-                        yield node, cand
+                        parent[cand] = node
+                        queue.append(cand)
+                        yield cand
 
-    if start[0] != goal_ax and _meets(start[1], goal_v, p):
-        return [start, goal]
-    level = [start]
-    while level:
-        for node, cand in children(level, goal_ax):
-            if _meets(cand[1], goal_v, p):
-                chain = [goal, cand]
-                while node is not None:
-                    chain.append(node)
-                    node = parent[node]
-                return chain[::-1]
-        nxt = []
-        for node, cand in children(level, None):
-            parent[cand] = node
-            nxt.append(cand)
-        level = nxt
+    for node in generated():
+        if node[0] != goal_ax and _meets(node[1], goal_v, p):
+            chain = [goal]
+            while node is not None:
+                chain.append(node)
+                node = parent[node]
+            return chain[::-1]
     return None
 
 

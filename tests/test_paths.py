@@ -494,8 +494,8 @@ def test_construct_path_matches_golden_words():
 def test_construct_path_matches_large_prime_golden_words():
     # 10 targets each at p = 1000003 and 10000019, drawn like the ones above
     # and recorded while orbit exponents were still found by walking the
-    # orbit and the chain search still tested the goal's own axis first.  The
-    # third at 1000003 is the target of test_conic_chain_defers_the_goal_axis.
+    # orbit and the chain search still expanded the goal's own axis.  The
+    # third at 1000003 is the target of test_conic_chain_skips_the_goal_axis.
     _check_golden_words("route_words_large.txt")
 
 
@@ -512,11 +512,11 @@ def _check_golden_words(name):
         assert str(path.word) == want and not path.used_fallback, line
 
 
-def test_conic_chain_defers_the_goal_axis(monkeypatch):
+def test_conic_chain_skips_the_goal_axis(monkeypatch):
     # The chain runs (1, 1) -> (3, 2) -> (2, 538284).  Expanding (1, 1) in
     # order tests every value on axis 2, the goal's own axis, before axis 3;
     # none of those can link to the goal, and testing them all cost 1,000,007
-    # `_meets` calls before the goal axis was deferred.
+    # `_meets` calls before the goal axis was skipped.
     calls = []
     meets = paths._meets
     monkeypatch.setattr(paths, "_meets", lambda a, b, p: calls.append(p) or meets(a, b, p))
