@@ -5,10 +5,12 @@ come out as text or CSV on stdout (or --out), never as images.  Range
 commands iterate primes in increasing order and assemble output in that
 order regardless of worker count, so a fixed invocation gives byte-identical
 output.  MARKOFF_THREADS sets the worker count for ranges, capped at the cpu
-count; the default is 1 (serial).
+count; the default is 1 (serial), and a value that is not a positive integer
+is a domain error.  Each command's parser has only the flags it reads.
 
-Exit codes: 0 success, 2 domain error (bad prime or point), 3 constructive
-failure or a refused cap, 4 disconnected graph.
+Exit codes: 0 success, 2 usage or domain error (a flag the command does not
+read, a bad prime, point or MARKOFF_THREADS), 3 constructive failure or a
+refused cap, 4 disconnected graph.
 """
 
 import argparse
@@ -32,24 +34,18 @@ LEVEL_CSV_HEADER = "ln_size_lo,ln_size_hi,count"
 
 
 def parse_point(text: str) -> Tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DomainError(f"point literal must be x1,x2,x3, got {text!r}")
     try:
-        a, b, c = (int(s.strip()) for s in parts)
-    except ValueError:
-        raise DomainError(f"point literal must be three integers, got {text!r}")
+        a, b, c = (int(s) for s in text.split(","))
+    except ValueError:  # a part that is no integer, or not three parts
+        raise DomainError(f"point literal must be three integers x1,x2,x3, got {text!r}")
     return (a, b, c)
 
 
 def parse_prime_range(text: str) -> List[int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise DomainError(f"prime range must be A..B, got {text!r}")
     try:
-        a, b = int(lo), int(hi)
-    except ValueError:
-        raise DomainError(f"prime range endpoints must be integers, got {text!r}")
+        a, b = (int(s) for s in text.split(".."))
+    except ValueError:  # an endpoint that is no integer, or not two endpoints
+        raise DomainError(f"prime range must be A..B with integer endpoints, got {text!r}")
     if a < 5 or b < a:
         raise DomainError(f"prime range endpoints must satisfy 5 <= A <= B, got {text!r}")
     return [p for p in range(a | 1, b + 1, 2) if field.is_probable_prime(p)]
@@ -64,11 +60,15 @@ def _primes_arg(args, default: str) -> List[int]:
 def _pool_map(fn, items: Sequence) -> List:
     """Ordered map over primes, fanned out to at most MARKOFF_THREADS and cpu_count workers.
     Workers are spawned with one BLAS thread each (a forked child keeps the parent's
-    BLAS thread pool, and oversubscribes); the parent's environment is restored."""
+    BLAS thread pool, and oversubscribes); the parent's environment is restored.
+    A MARKOFF_THREADS that is not a positive integer raises DomainError."""
+    text = os.environ.get("MARKOFF_THREADS", "1")
     try:
-        workers = int(os.environ.get("MARKOFF_THREADS", "1"))
+        workers = int(text)
     except ValueError:
-        workers = 1
+        workers = 0
+    if workers < 1:
+        raise DomainError(f"MARKOFF_THREADS must be a positive integer, got {text!r}")
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
@@ -93,17 +93,13 @@ def _emit(lines: Sequence[str], out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _fmt_point(x) -> str:
-    return f"({x[0]},{x[1]},{x[2]})"
-
-
 # ---------------------------------------------------------------- seed-paths
 
 def _seed_line(p: int) -> str:
     ((_, n, pts),) = seed_table([p])
     if n is None:
         return f"{p} none : no first-axis power up to 5 reaches the cage"
-    walk = ", ".join(_fmt_point(x) for x in pts)
+    walk = ", ".join(f"({a},{b},{c})" for a, b, c in pts)
     return f"{p} rot1^{n} : {walk}"
 
 
@@ -170,10 +166,8 @@ def cmd_level_dist(args) -> int:
 # ---------------------------------------------------------------- point ops
 
 def _require_target(args) -> Tuple[int, Tuple[int, int, int]]:
-    if args.prime is None:
-        raise DomainError("this command needs -p")
-    if args.to is None:
-        raise DomainError("this command needs --to x1,x2,x3")
+    if args.prime is None or args.to is None:
+        raise DomainError("this command needs -p and --to x1,x2,x3")
     p = field.require_odd_prime(args.prime)
     return p, check_point(parse_point(args.to), p)
 
@@ -265,65 +259,75 @@ def cmd_bounds(args) -> int:
 
 # ------------------------------------------------------------------ driver
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="markoff",
-        description="Markoff triples mod p: orbits, paths, lifts, and graph data.",
-        epilog="Set MARKOFF_THREADS to parallelize prime-range commands.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", "--prime", type=int, default=None,
-                        help="single prime modulus (> 3)")
-    common.add_argument("--primes", default=None, metavar="A..B",
-                        help="inclusive prime range, endpoints >= 5")
-    common.add_argument("--to", default=None, metavar="x1,x2,x3",
-                        help="target point, coordinates in [0, p)")
-    common.add_argument("--method", choices=("route", "bfs"), default="route",
-                        help="path construction: cage routing or graph BFS")
-    common.add_argument("--out", default=None, help="write output here instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized iterations")
-    common.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP,
-                        help="largest prime the graph builder will enumerate")
-    common.add_argument("--cap-spectral", type=int, default=DEFAULT_SPECTRAL_CAP,
-                        help="largest prime for eigenvalue estimation")
-    common.add_argument("--cap-digits", type=int, default=lifts.DEFAULT_DIGIT_CAP,
-                        help="decimal digits before lifts switch to log tracking")
+# Each flag's option strings and add_argument spec, declared once.
+FLAGS = [
+    (("-p", "--prime"), dict(type=int, help="single prime modulus (> 3)")),
+    (("--primes",), dict(metavar="A..B", help="inclusive prime range, endpoints >= 5")),
+    (("--to",), dict(metavar="x1,x2,x3", help="target point, coordinates in [0, p)")),
+    (("--method",), dict(choices=("route", "bfs"), default="route",
+                         help="path construction: cage routing or graph BFS")),
+    (("--out",), dict(help="write output here instead of stdout")),
+    (("--seed",), dict(type=int, default=0, help="seed for randomized iterations")),
+    (("--cap-enum",), dict(type=int, default=DEFAULT_ENUM_CAP,
+                           help="largest prime the graph builder will enumerate")),
+    (("--cap-spectral",), dict(type=int, default=DEFAULT_SPECTRAL_CAP,
+                               help="largest prime for eigenvalue estimation")),
+    (("--cap-digits",), dict(type=int, default=lifts.DEFAULT_DIGIT_CAP,
+                             help="decimal digits before lifts switch to log tracking")),
+    (("--level",), dict(type=int, required=True, help="rotation tree level")),
+    (("--bins",), dict(type=int, default=40, help="histogram bin count")),
+    (("--format",), dict(choices=("dot", "csv"), default="dot", help="export format")),
+]
 
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (function, the flags it reads besides --out, one-line help)
+COMMANDS = {
+    "seed-paths": (cmd_seed_paths, "-p --primes",
+                   "first-axis walks from (1,1,1) into the cage, one line per prime"),
+    "cage-stats": (cmd_cage_stats, "-p --primes --cap-enum",
+                   "CSV of cage membership counts and share per prime"),
+    "level-dist": (cmd_level_dist, "--level --bins --cap-digits",
+                   "histogram CSV of ln sizes at one tree level"),
+    "path": (cmd_path, "-p --to --method --cap-enum", "rotation word from (1,1,1) to --to"),
+    "lift": (cmd_lift, "-p --to --method --cap-enum --cap-digits",
+             "integer lift of --to along the constructed word"),
+    "classify": (cmd_classify, "-p --to", "per-coordinate class, order, and cage membership"),
+    "connectivity": (cmd_connectivity, "-p --primes --cap-enum",
+                     "component check per prime (exit 4 if split)"),
+    "export": (cmd_export, "-p --format --cap-enum", "whole-graph export, --format dot or csv"),
+    "bounds": (cmd_bounds, "-p --primes --seed --cap-enum --cap-spectral",
+               "CSV of evaluated size-bound exponents per prime"),
+}
 
-    def add(name, fn, help_text):
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
-        cmd.set_defaults(fn=fn)
-        return cmd
 
-    add("seed-paths", cmd_seed_paths,
-        "first-axis walks from (1,1,1) into the cage, one line per prime")
-    add("cage-stats", cmd_cage_stats,
-        "CSV of cage membership counts and share per prime")
-    level = add("level-dist", cmd_level_dist, "histogram CSV of ln sizes at one tree level")
-    level.add_argument("--level", type=int, required=True)
-    level.add_argument("--bins", type=int, default=40)
-    add("path", cmd_path, "rotation word from (1,1,1) to --to")
-    add("lift", cmd_lift, "integer lift of --to along the constructed word")
-    add("classify", cmd_classify, "per-coordinate class, order, and cage membership")
-    add("connectivity", cmd_connectivity, "component check per prime (exit 4 if split)")
-    export = add("export", cmd_export, "whole-graph export, --format dot or csv")
-    export.add_argument("--format", choices=("dot", "csv"), default="dot")
-    add("bounds", cmd_bounds, "CSV of evaluated size-bound exponents per prime")
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command: only the flags it reads, plus --out."""
+    _, flags, text = COMMANDS[name]
+    wanted = flags.split() + ["--out"]
+    parser = argparse.ArgumentParser(prog=f"markoff {name}", description=text)
+    for names, spec in FLAGS:
+        if names[0] in wanted:
+            parser.add_argument(*names, **spec)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Dispatch on the first argument, then parse the rest with that command's parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    listing = "\n".join(f"  {name:<14}{text}" for name, (_, _, text) in COMMANDS.items())
+    top = argparse.ArgumentParser(
+        prog="markoff", usage="%(prog)s [-h] command [flags]",
+        description="Markoff triples mod p: orbits, paths, lifts, and graph data.",
+        epilog=f"commands:\n{listing}\n\n'markoff COMMAND --help' lists a command's flags."
+               "\nSet MARKOFF_THREADS to parallelize prime-range commands.",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("command", choices=COMMANDS, metavar="command")
+    name = top.parse_args(argv[:1]).command
+    args = command_parser(name).parse_args(argv[1:])
     try:
-        return args.fn(args)
-    except DomainError as err:
+        return COMMANDS[name][0](args)
+    except (DomainError, ConstructionError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ConstructionError, CapExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(err, DomainError) else 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ back inside the vertex set and that each rotation permutes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -334,9 +334,9 @@ def to_dot(g: SurfaceGraph) -> Iterator[str]:
 VERTEX_CSV_HEADER = "id,x1,x2,x3,class1,class2,class3,ord,in_cage"
 
 
-def vertex_csv(g: SurfaceGraph, cls: Optional[Classifier] = None) -> Iterator[str]:
+def vertex_csv(g: SurfaceGraph) -> Iterator[str]:
     """One row per vertex: coordinates, per-coordinate class, point order, cage flag."""
-    cls = cls or Classifier(g.p)
+    cls = Classifier(g.p)
     yield VERTEX_CSV_HEADER
     for vid in range(len(g)):
         x = g.point_of(vid)

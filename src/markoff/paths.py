@@ -30,6 +30,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import field
 from .core import (
+    _MOVED,
     HYPERBOLIC,
     PARABOLIC,
     Classifier,
@@ -363,28 +364,23 @@ def parabolic_axis(x: Triple, cls: Classifier) -> Optional[int]:
 def parabolic_exit(x: Triple, i: int, cls: Classifier) -> Tuple[int, Triple]:
     """Closed-form k with rot_i^k(x) in the cage, for x with x_i = 2/3.
 
-    On an order-p parabolic orbit the rotation matrix is unipotent, so both
-    moved coordinates are affine in k: coord(k) = coord(0) + k * step.  Pick a
-    moved axis whose step is nonzero (one always exists or the orbit would be
-    a fixed point) and solve coord(k) = -2/3, the one value of order 2p and
-    so always maximal.
+    On an order-p parabolic orbit the rotation is (a, b) -> (b, 2b - a), so
+    both moved coordinates are affine in k with the same step d = b - a, and
+    d != 0 (a = b would put 4/9 = 0 on the surface).  Solve coord(k) = -2/3,
+    the one value of order 2p and so always maximal, on the first moved axis.
     """
     p = cls.p
-    x1 = rot(x, i, p)
+    j = _MOVED[i][0]
+    c = x[j]
+    d = (rot(x, i, p)[j] - c) % p
     b = cls.minus_two_thirds
-    for j in (ax for ax in (1, 2, 3) if ax != i):
-        c = x[j - 1]
-        d = (x1[j - 1] - c) % p
-        if d == 0:
-            continue
-        k = (b - c) * pow(d, p - 2, p) % p
-        y = rotation_power(x, i, k, p)
-        if y[j - 1] != b:
-            raise ConstructionError(
-                f"parabolic orbit of {x} mod {p} is not affine in the step count"
-            )
-        return k, y
-    raise ConstructionError(f"parabolic orbit of {x} mod {p} moves no coordinate")
+    k = (b - c) * pow(d, p - 2, p) % p
+    y = rotation_power(x, i, k, p)
+    if y[j] != b:
+        raise ConstructionError(
+            f"parabolic orbit of {x} mod {p} is not affine in the step count"
+        )
+    return k, y
 
 
 def _into_cage(x: Triple, cls: Classifier) -> Tuple[Triple, List[Stage]]:

@@ -1,5 +1,6 @@
 """Command line behavior: formats, golden table, exit codes, determinism."""
 
+import argparse
 import hashlib
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import oracles
 from markoff import cli, graph, lifts
+from markoff.errors import DomainError
 from markoff.words import PathWord
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -301,3 +303,98 @@ def test_digest_script_expects_exactly_its_names():
     import digests
 
     assert set(digests.EXPECTED) == set(digests.NAMES)
+
+
+# Each command's flags besides -h/--help and --out, as the parser accepts them.
+ACCEPTED = {
+    "seed-paths": "-p --prime --primes",
+    "cage-stats": "-p --prime --primes --cap-enum",
+    "level-dist": "--level --bins --cap-digits",
+    "path": "-p --prime --to --method --cap-enum",
+    "lift": "-p --prime --to --method --cap-enum --cap-digits",
+    "classify": "-p --prime --to",
+    "connectivity": "-p --prime --primes --cap-enum",
+    "export": "-p --prime --format --cap-enum",
+    "bounds": "-p --prime --primes --seed --cap-enum --cap-spectral",
+}
+# A valid value for every flag any command reads.
+FLAG_VALUES = {
+    "-p": "7", "--primes": "5..7", "--to": "1,1,2", "--method": "bfs", "--seed": "9",
+    "--cap-enum": "100", "--cap-spectral": "100", "--cap-digits": "3", "--level": "2",
+    "--bins": "3", "--format": "csv",
+}
+
+
+def _settable(name):
+    return [a for a in cli.command_parser(name)._actions if a.option_strings != ["-h", "--help"]]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_accepts_exactly_its_flags(name):
+    got = {s for a in cli.command_parser(name)._actions for s in a.option_strings}
+    assert got == set(ACCEPTED[name].split()) | {"-h", "--help", "--out"}
+
+
+def test_settable_cli_values_count():
+    assert set(ACCEPTED) == set(cli.COMMANDS)
+    assert sum(len(_settable(name)) for name in cli.COMMANDS) == 39
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_rejects_flags_it_does_not_read(capsys, name):
+    accepted = {s for a in _settable(name) for s in a.option_strings}
+    base = ["--level", "2"] if name == "level-dist" else []  # its one required flag
+    rejected = [f for f in FLAG_VALUES if f not in accepted]
+    assert rejected
+    for flag in rejected:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, *base, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_classify_rejects_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "-p", "11", "--to", "1,1,1", "--seed", "9"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "--seed" in captured.err
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    assert len(cli.COMMANDS) == 9
+    for name, (_, _, text) in cli.COMMANDS.items():
+        assert [name, text] in lines
+
+
+def test_command_help_names_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["path", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--to" in out and "--cap-enum" in out
+    assert "--seed" not in out and "--primes" not in out
+
+
+def test_main_builds_only_the_invoked_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "classify", "-p", "11", "--to", "1,1,2")[0] == 0
+    assert built == ["markoff", "markoff classify"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_is_a_domain_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MARKOFF_THREADS", value)
+    with pytest.raises(DomainError, match="MARKOFF_THREADS"):
+        cli._pool_map(abs, [-1])
+    code, out, err = run_cli(capsys, "seed-paths", "--primes", "5..13")
+    assert code == 2 and out == "" and "MARKOFF_THREADS" in err
