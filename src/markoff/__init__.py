@@ -13,10 +13,9 @@ integer lifts with size bounds.  Submodules:
   cli     the `markoff` command
 """
 
-from .core import (Classifier, CoordClass, check_point, fibonacci,
-                   fibonacci_form, is_maximal, lucas_pair, maximal_index,
-                   on_surface, point_order, rot, rot_inv, rotation_order,
-                   rotation_power)
+from .core import (Classifier, CoordClass, check_point, is_maximal,
+                   lucas_pair, maximal_index, on_surface, point_order, rot,
+                   rot_inv, rotation_order, rotation_power)
 from .errors import CapExceeded, ConstructionError, DomainError
 from .graph import SurfaceGraph, connectivity_check, spectral_gap
 from .lifts import (LiftTriple, bound_report, construction_exponent,
@@ -31,9 +30,9 @@ __all__ = [
     "CagePath", "CapExceeded", "Classifier", "ConstructionError", "CoordClass",
     "DomainError", "LiftTriple", "PathWord", "SurfaceGraph", "bound_report",
     "cage_route", "check_point", "connectivity_check", "construct_path",
-    "construction_exponent", "expander_alpha_ln", "fibonacci", "fibonacci_form",
-    "growth_bound_ln", "is_maximal", "lucas_pair", "maximal_index",
-    "minimal_lift_search", "on_surface", "parabolic_exponent", "point_order",
-    "replay_integer", "rot", "rot_inv", "rotation_order", "rotation_power",
-    "seed_table", "spectral_gap", "__version__",
+    "construction_exponent", "expander_alpha_ln", "growth_bound_ln",
+    "is_maximal", "lucas_pair", "maximal_index", "minimal_lift_search",
+    "on_surface", "parabolic_exponent", "point_order", "replay_integer", "rot",
+    "rot_inv", "rotation_order", "rotation_power", "seed_table", "spectral_gap",
+    "__version__",
 ]

@@ -321,6 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                "\nSet MARKOFF_THREADS to parallelize prime-range commands.",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("command", choices=COMMANDS, metavar="command")
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        top.error(f"{argv[0]} goes after the command: markoff COMMAND [flags]")
     name = top.parse_args(argv[:1]).command
     args = command_parser(name).parse_args(argv[1:])
     try:

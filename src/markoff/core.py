@@ -15,8 +15,8 @@ powers of a rotation reduce to a constant-recursive sequence
 u_0 = 0, u_1 = 1, u_{k+2} = 3*x_i*u_{k+1} - u_k, which `lucas_pair` evaluates
 in O(log n) by fast doubling, mod p or, when p is None, over the integers.
 
-A coordinate value x is classified by the discriminant (3x)^2 - 4 of the
-matrix's characteristic polynomial: zero means parabolic (x = +-2/3, orbit
+A coordinate value x is classified by (3x)^2 - 4, the square of the
+matrix's trace less four: zero means parabolic (x = +-2/3, orbit
 length p or 2p), a nonzero square means hyperbolic (the eigenvalues live in
 F_p and the order divides p - 1), a non-square means elliptic (the
 eigenvalues live in F_{p^2} with norm 1, order dividing p + 1).  A coordinate
@@ -37,6 +37,8 @@ from . import field
 from .errors import DomainError
 
 Triple = Tuple[int, int, int]
+
+SEED: Triple = (1, 1, 1)
 
 PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
@@ -131,7 +133,6 @@ class CoordClass:
     kind: str          # parabolic / hyperbolic / elliptic
     order: int         # orbit length of any surface point under the rotation fixing it
     maximal: bool      # order is p-1 (hyperbolic), p+1 (elliptic) or 2p (parabolic)
-    discriminant: int  # (3x)^2 - 4 mod p
 
 
 class Classifier:
@@ -158,13 +159,13 @@ class Classifier:
         if ls == 0:
             # x = 2/3 gives the eigenvalue +1 (order p), x = -2/3 gives -1 (order 2p).
             order = p if x == self.two_thirds else 2 * p
-            cc = CoordClass(PARABOLIC, order, order == 2 * p, disc)
+            cc = CoordClass(PARABOLIC, order, order == 2 * p)
         elif ls == 1:
             order = self._matrix_order(3 * x % p, p - 1, self.fact_pm1)
-            cc = CoordClass(HYPERBOLIC, order, order == p - 1, disc)
+            cc = CoordClass(HYPERBOLIC, order, order == p - 1)
         else:
             order = self._matrix_order(3 * x % p, p + 1, self.fact_pp1)
-            cc = CoordClass(ELLIPTIC, order, order == p + 1, disc)
+            cc = CoordClass(ELLIPTIC, order, order == p + 1)
         self._memo[x] = cc
         return cc
 
@@ -225,20 +226,3 @@ def check_point(x: Triple, p: int) -> Triple:
         raise DomainError(f"{x} is not a nonzero surface point mod {p}")
     return x
 
-
-def fibonacci(n: int) -> int:
-    """F_n over the integers (F_1 = F_2 = 1); accepts n >= -1.  The Lucas
-    sequence with P = 3 has u_m = F_{2m}, so F_{2m+1} = u_{m+1} - u_m."""
-    if n == -1:
-        return 1
-    if n < 0:
-        raise ValueError("fibonacci wants n >= -1")
-    u, u1 = lucas_pair(3, n // 2, None)
-    return u1 - u if n % 2 else u
-
-
-def fibonacci_form(n: int) -> Tuple[int, int, int]:
-    """rot1^n(1,1,1) over the integers: (1, F_{2n-1}, F_{2n+1})."""
-    if n < 0:
-        raise ValueError("fibonacci_form wants n >= 0")
-    return (1, fibonacci(2 * n - 1), fibonacci(2 * n + 1))

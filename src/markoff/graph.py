@@ -142,20 +142,6 @@ class SurfaceGraph:
         c = self.coords[vid]
         return (int(c[0]), int(c[1]), int(c[2]))
 
-    def conic_ids(self, axis: int, value: int) -> np.ndarray:
-        """All vertex ids whose coordinate on `axis` equals `value`."""
-        return np.nonzero(self.coords[:, axis - 1] == value)[0]
-
-    def orbit_ids(self, vid: int, axis: int) -> List[int]:
-        """Forward rotation orbit of a vertex, in orbit order."""
-        col = 2 * (axis - 1)
-        out = [vid]
-        cur = int(self.adj[vid, col])
-        while cur != vid:
-            out.append(cur)
-            cur = int(self.adj[cur, col])
-        return out
-
 
 @dataclass
 class BfsTree:

@@ -31,13 +31,10 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from . import field
-from .core import rotation_power
+from .core import SEED, Triple, rotation_power
 from .errors import DomainError
 from .words import PathWord
 
-Triple = Tuple[int, int, int]
-
-SEED: Triple = (1, 1, 1)
 GROWTH_EPS = (3 + math.sqrt(5)) / 2
 LN_3EPS = math.log(3 * GROWTH_EPS)
 LN2 = math.log(2)
@@ -336,21 +333,6 @@ def tree_level_log_sizes(level: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> List
 
 def tree_level_count(level: int) -> int:
     return 3 * 2 ** (level - 1)
-
-
-def partition_max_product(ell: int) -> int:
-    """Max over partitions n_1 + ... + n_s = ell of prod(n_i + 1).
-
-    Dynamic programming over the first part; the all-ones partition wins and
-    the value is 2^ell, comfortably below the 5^ell ceiling the growth
-    argument uses.
-    """
-    if ell < 1:
-        raise DomainError("partition length starts at 1")
-    best = [1] * (ell + 1)
-    for n in range(1, ell + 1):
-        best[n] = max((k + 1) * best[n - k] for k in range(1, n + 1))
-    return best[ell]
 
 
 def histogram(values: Iterable[float], bins: int) -> List[Tuple[float, float, int]]:

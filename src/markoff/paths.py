@@ -12,8 +12,8 @@ the target's own axis, so no route sweeps F_p for the maximal values; orbit
 exponents are discrete logs in F_p[M], M the rotation matrix, not step counts.
 Points outside the cage, the seed (1, 1, 1) and the target alike, are first
 pushed into it by one loop: a 2/3 coordinate (rotation order exactly p)
-exits in closed form to the value -2/3, because both moved coordinates are
-affine functions of the step count; otherwise the point moves to the first
+exits at a meet point, where its orbit crosses the conic of the maximal
+value -2/3 on the first moved axis; otherwise the point moves to the first
 point of its rotation orbits that is better, one of strictly larger order
 while its order is at most sqrt(p), a cage point after that.
 
@@ -30,9 +30,9 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import field
 from .core import (
-    _MOVED,
     HYPERBOLIC,
     PARABOLIC,
+    SEED,
     Classifier,
     Triple,
     check_point,
@@ -47,8 +47,6 @@ from .core import (
 )
 from .errors import ConstructionError
 from .words import PathWord
-
-SEED: Triple = (1, 1, 1)
 
 # Stage tags, in the order a full route can use them.
 SEED_STAGE = "seed"
@@ -190,7 +188,7 @@ def _meet_points(axis_a: int, val_a: int, axis_b: int, val_b: int, p: int) -> Tu
     """Surface points with the given values on two distinct axes.
 
     The free coordinate m solves m^2 - 3ab m + (a^2 + b^2) = 0; zero, one or
-    two points come back depending on the discriminant.
+    two points come back, one for each distinct root.
     """
     disc = (9 * val_a * val_a * val_b * val_b - 4 * (val_a * val_a + val_b * val_b)) % p
     r = field.sqrt_mod(disc, p)
@@ -362,25 +360,20 @@ def parabolic_axis(x: Triple, cls: Classifier) -> Optional[int]:
 
 
 def parabolic_exit(x: Triple, i: int, cls: Classifier) -> Tuple[int, Triple]:
-    """Closed-form k with rot_i^k(x) in the cage, for x with x_i = 2/3.
+    """k in [0, p) with rot_i^k(x) in the cage, for x with x_i = 2/3.
 
-    On an order-p parabolic orbit the rotation is (a, b) -> (b, 2b - a), so
-    both moved coordinates are affine in k with the same step d = b - a, and
-    d != 0 (a = b would put 4/9 = 0 on the surface).  Solve coord(k) = -2/3,
-    the one value of order 2p and so always maximal, on the first moved axis.
+    The conic x_i = 2/3 splits into two rotation orbits of order p, and each
+    holds one of the two points where it meets -2/3, the one value of order
+    2p and so always maximal, on the first moved axis; `orbit_exponent`
+    finds the meet point on x's orbit and gives None for the other one.
     """
     p = cls.p
-    j = _MOVED[i][0]
-    c = x[j]
-    d = (rot(x, i, p)[j] - c) % p
-    b = cls.minus_two_thirds
-    k = (b - c) * pow(d, p - 2, p) % p
-    y = rotation_power(x, i, k, p)
-    if y[j] != b:
-        raise ConstructionError(
-            f"parabolic orbit of {x} mod {p} is not affine in the step count"
-        )
-    return k, y
+    j = 2 if i == 1 else 1
+    for y in _meet_points(i, cls.two_thirds, j, cls.minus_two_thirds, p):
+        n = orbit_exponent(x, i, y, cls)
+        if n is not None:
+            return n % p, y
+    raise ConstructionError(f"no meet with -2/3 on the parabolic orbit of {x} mod {p}")
 
 
 def _into_cage(x: Triple, cls: Classifier) -> Tuple[Triple, List[Stage]]:
@@ -445,9 +438,7 @@ def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None) -> 
 
 
 def _bfs_fallback_stage(p: int, target: Triple) -> Stage:
-    from .graph import SurfaceGraph, bfs, word_to
+    from .graph import SurfaceGraph, shortest_path
 
-    g = SurfaceGraph.build(p)
-    tree = bfs(g, g.id_of(SEED))
-    word = word_to(tree, g.id_of(target))
+    word = shortest_path(SurfaceGraph.build(p), SEED, target)
     return Stage(BFS_FALLBACK, word.steps, target)

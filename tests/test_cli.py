@@ -360,6 +360,15 @@ def test_classify_rejects_seed(capsys):
     assert exc.value.code == 2 and captured.out == "" and "--seed" in captured.err
 
 
+def test_flag_before_the_command_is_named(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-p", "11", "path", "--to", "1,1,2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "-p goes after the command" in captured.err
+    assert "markoff COMMAND [flags]" in captured.err
+
+
 def test_top_level_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -195,15 +195,3 @@ def test_check_point_rejects_garbage():
     with pytest.raises(DomainError):
         core.check_point((1, 1, 9), 7)  # not reduced
     assert core.check_point((1, 1, 2), 7) == (1, 1, 2)
-
-
-def test_fibonacci_and_fibonacci_form():
-    for n in range(-1, 30):
-        assert core.fibonacci(n) == oracles.fib(n)
-    assert core.fibonacci_form(0) == (1, 1, 1)
-    assert core.fibonacci_form(1) == (1, 1, 2)
-    assert core.fibonacci_form(2) == (1, 2, 5)
-    assert core.fibonacci_form(5) == (1, 34, 89)
-    # matches stepwise integer replay of rot1^n
-    for n in range(0, 40):
-        assert core.fibonacci_form(n) == oracles.replay_int([(1, n)])

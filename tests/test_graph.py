@@ -138,48 +138,37 @@ def test_conic_sizes_against_class():
                 else:
                     cc = cls.classify(value)
                     want = {"elliptic": p + 1, "hyperbolic": p - 1}.get(cc.kind, 2 * p if p % 4 == 1 else 0)
-                assert len(g.conic_ids(axis, value)) == want, (p, axis, value)
+                got = np.count_nonzero(g.coords[:, axis - 1] == value)
+                assert got == want, (p, axis, value)
 
 
 def test_conic_size_value_zero_oracle():
     # x_i = 0 forces x_j^2 + x_k^2 = 0.  Mod 11 the only solution is the
     # excluded zero triple; mod 13 it is the line pair x_j = +-5 x_k.
     g11 = SurfaceGraph.build(11)
-    assert len(g11.conic_ids(1, 0)) == 0
+    assert np.count_nonzero(g11.coords[:, 0] == 0) == 0
     assert [t for t in oracles.surface_points(11) if t[0] == 0] == []
 
     g13 = SurfaceGraph.build(13)
-    assert len(g13.conic_ids(1, 0)) == 2 * 13 - 2
+    assert np.count_nonzero(g13.coords[:, 0] == 0) == 2 * 13 - 2
     pts = [t for t in oracles.surface_points(13) if t[0] == 0]
     assert len(pts) == 24
     assert all(t[1] in (5 * t[2] % 13, -5 * t[2] % 13) for t in pts)
 
 
-def test_orbit_walk_matches_oracle_orbit():
-    p = 29
-    g = SurfaceGraph.build(p)
-    rng = random.Random(17)
-    for _ in range(30):
-        vid = rng.randrange(len(g))
-        axis = rng.choice((1, 2, 3))
-        walked = [g.point_of(i) for i in g.orbit_ids(vid, axis)]
-        assert walked == oracles.orbit(g.point_of(vid), axis, p)
-
-
 def test_maximal_orbit_equals_conic_exhaustive_small():
     # For a nonzero maximal coordinate value, the rotation orbit is the whole conic.
     for p in (13, 17, 19):
-        g = SurfaceGraph.build(p)
+        pts = oracles.surface_points(p)
         cls = Classifier(p)
         for axis in (1, 2, 3):
             for value in range(1, p):
                 if not cls.classify(value).maximal:
                     continue
-                ids = g.conic_ids(axis, value)
-                if len(ids) == 0:
+                conic = [t for t in pts if t[axis - 1] == value]
+                if not conic:
                     continue
-                orbit = g.orbit_ids(int(ids[0]), axis)
-                assert sorted(orbit) == list(ids)
+                assert sorted(oracles.orbit(conic[0], axis, p)) == sorted(conic)
 
 
 def test_maximal_orbit_value_zero_exception_mod_5():
@@ -187,16 +176,15 @@ def test_maximal_orbit_value_zero_exception_mod_5():
     # degenerate section x_j^2 + x_k^2 = 0 holds 2p - 2 = 8 points while each
     # rotation orbit on it has only 4.  The orbit-equals-conic rule genuinely
     # fails here, so path construction must never bridge through a zero value.
-    g = SurfaceGraph.build(5)
     cls = Classifier(5)
     assert cls.classify(0).maximal and cls.classify(0).order == 4
-    ids = g.conic_ids(1, 0)
-    assert len(ids) == 8
-    orbit = g.orbit_ids(g.id_of((0, 1, 2)), 1)
+    conic = {t for t in oracles.surface_points(5) if t[0] == 0}
+    assert len(conic) == 8
+    orbit = oracles.orbit((0, 1, 2), 1, 5)
     assert len(orbit) == 4
-    assert set(orbit) < set(int(i) for i in ids)
-    other = g.orbit_ids(g.id_of((0, 1, 3)), 1)
-    assert sorted(set(orbit) | set(other)) == sorted(int(i) for i in ids)
+    assert set(orbit) < conic
+    other = oracles.orbit((0, 1, 3), 1, 5)
+    assert set(orbit) | set(other) == conic
 
 
 def disjoint_union(a, b):

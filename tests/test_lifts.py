@@ -63,12 +63,6 @@ def test_constructed_words_lift_congruently():
             assert oracles.on_integer_surface(lift.coords)
 
 
-def test_fibonacci_form_matches_replay():
-    for n in range(101):
-        word = PathWord.parse(f"r1^{n}") if n else PathWord.parse("e")
-        assert lifts.replay_integer(word).coords == core.fibonacci_form(n)
-
-
 def test_growth_bound_dominates_random_words():
     rng = random.Random(31337)
     for _ in range(2000):
@@ -218,16 +212,6 @@ def test_minimal_lift_search_random_targets():
         assert got is not None, f"no lift found for {x} mod 11"
         assert got.reduce(11) == x
         assert oracles.on_integer_surface(got.coords)
-
-
-def test_partition_max_product():
-    for ell in range(1, 21):
-        brute = max(math.prod(k + 1 for k in part)
-                    for part in oracles.partitions(ell))
-        assert lifts.partition_max_product(ell) == brute == 2 ** ell
-        assert brute <= 5 ** ell
-    with pytest.raises(DomainError):
-        lifts.partition_max_product(0)
 
 
 def test_tree_levels():

@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -185,7 +186,7 @@ def _cage_reps(p, cls, g):
     reps = []
     for axis in (1, 2, 3):
         for a in cls.maximal_values():
-            ids = g.conic_ids(axis, a)
+            ids = np.flatnonzero(g.coords[:, axis - 1] == a)
             if len(ids):
                 reps.append(g.point_of(int(ids[0])))
     return reps
@@ -347,20 +348,29 @@ def test_parabolic_orbit_structure():
     # C_i(-2/3) is a single orbit of length 2p.
     for p in (13, 17):
         cls = Classifier(p)
-        g = SurfaceGraph.build(p)
+        pts = oracles.surface_points(p)
         for axis in (1, 2, 3):
-            plus = g.conic_ids(axis, cls.two_thirds)
+            plus = {t for t in pts if t[axis - 1] == cls.two_thirds}
             assert len(plus) == 2 * p
-            first = g.orbit_ids(int(plus[0]), axis)
+            first = oracles.orbit(min(plus), axis, p)
             assert len(first) == p
-            rest = sorted(set(int(i) for i in plus) - set(first))
-            second = g.orbit_ids(rest[0], axis)
+            second = oracles.orbit(min(plus - set(first)), axis, p)
             assert len(second) == p
-            assert sorted(set(first) | set(second)) == [int(i) for i in plus]
-            minus = g.conic_ids(axis, cls.minus_two_thirds)
+            assert set(first) | set(second) == plus
+            minus = [t for t in pts if t[axis - 1] == cls.minus_two_thirds]
             assert len(minus) == 2 * p
-            assert len(g.orbit_ids(int(minus[0]), axis)) == 2 * p
+            assert len(oracles.orbit(minus[0], axis, p)) == 2 * p
     assert on_surface((5, 1, 0), 13) and Classifier(13).two_thirds == 5
+
+
+def _check_parabolic_exit(x, i, cls):
+    # The exit lands where the orbit meets -2/3 on the first moved axis j.
+    k, w = parabolic_exit(x, i, cls)
+    j = 2 if i == 1 else 1
+    assert 0 <= k < cls.p
+    assert w[i - 1] == cls.two_thirds and w[j - 1] == cls.minus_two_thirds
+    assert paths.is_maximal(w, cls)
+    return k, w
 
 
 def test_parabolic_exit_lands_in_cage():
@@ -372,11 +382,22 @@ def test_parabolic_exit_lands_in_cage():
             if i is None or paths.is_maximal(x, cls):
                 continue
             hit += 1
-            k, w = parabolic_exit(x, i, cls)
-            assert 0 <= k < p
+            k, w = _check_parabolic_exit(x, i, cls)
             assert oracles.orbit(x, i, p)[k] == w
-            assert paths.is_maximal(w, cls)
         assert hit > 0
+    # p = 1 mod 4 is needed for a nonempty 2/3 conic; targets come from
+    # meets with random values on each axis, the exit is replayed in one jump.
+    p = 1000033
+    cls = Classifier(p)
+    rng = random.Random(p)
+    hit = 0
+    while hit < 60:
+        i, j = rng.sample((1, 2, 3), 2)
+        for x in paths._meet_points(i, cls.two_thirds, j, rng.randrange(1, p), p):
+            if not paths.is_maximal(x, cls):
+                hit += 1
+                k, w = _check_parabolic_exit(x, i, cls)
+                assert rotation_power(x, i, k, p) == w
 
 
 def test_construct_path_exhaustive_p31():
