@@ -15,7 +15,7 @@ integer lifts with size bounds.  Submodules:
 
 from .core import (Classifier, CoordClass, check_point, is_maximal,
                    lucas_pair, maximal_index, on_surface, point_order, rot,
-                   rot_inv, rotation_order, rotation_power)
+                   rotation_order, rotation_power)
 from .errors import CapExceeded, ConstructionError, DomainError
 from .graph import SurfaceGraph, connectivity_check, spectral_gap
 from .lifts import (LiftTriple, bound_report, construction_exponent,
@@ -33,6 +33,6 @@ __all__ = [
     "construction_exponent", "expander_alpha_ln", "growth_bound_ln",
     "is_maximal", "lucas_pair", "maximal_index", "minimal_lift_search",
     "on_surface", "parabolic_exponent", "point_order", "replay_integer", "rot",
-    "rot_inv", "rotation_order", "rotation_power", "seed_table", "spectral_gap",
+    "rotation_order", "rotation_power", "seed_table", "spectral_gap",
     "__version__",
 ]

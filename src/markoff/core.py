@@ -10,6 +10,10 @@ the fixed coordinate pins down:
     rot2(x1, x2, x3) = (x3, x2, 3*x2*x3 - x1)
     rot3(x1, x2, x3) = (x2, 3*x2*x3 - x1, x3)
 
+The inverse is the same move with the moved pair swapped before and after,
+rot_i^-1 = s rot_i s, so `rot` writes each axis's formula once, for F_p, for
+the integers (p = None) and for numpy coordinate columns.
+
 On the moved pair, rot_i acts as the SL2 matrix [[0, 1], [-1, 3*x_i]], so
 powers of a rotation reduce to a constant-recursive sequence
 u_0 = 0, u_1 = 1, u_{k+2} = 3*x_i*u_{k+1} - u_k, which `lucas_pair` evaluates
@@ -53,35 +57,30 @@ def on_surface(x: Triple, p: int) -> bool:
     return (x1 * x1 + x2 * x2 + x3 * x3 - 3 * x1 * x2 * x3) % p == 0
 
 
-def is_valid_point(x: Triple, p: int) -> bool:
-    """Nonzero, reduced, and on the surface."""
-    return (
-        all(0 <= c < p for c in x)
-        and any(c != 0 for c in x)
-        and on_surface(x, p)
-    )
-
-
-def rot(x: Triple, i: int, p: int) -> Triple:
-    """rot_i(x); the coordinates may also be int64 numpy arrays, as in graph."""
+def rot(x: Triple, i: int, p: Optional[int], sign: int = 1) -> Triple:
+    """rot_i(x), or rot_i^-1(x) when sign is -1, mod p or, when p is None,
+    over the integers; the coordinates may also be int64 numpy arrays, as in
+    graph.  The inverse is the same formula with the moved pair swapped
+    before and after: rot_i^-1 = s rot_i s."""
     x1, x2, x3 = x
     if i == 1:
-        return (x1, x3, (3 * x1 * x3 - x2) % p)
+        if sign < 0:
+            x2, x3 = x3, x2
+        v = 3 * x1 * x3 - x2
+        v = v if p is None else v % p
+        return (x1, x3, v) if sign > 0 else (x1, v, x3)
     if i == 2:
-        return (x3, x2, (3 * x2 * x3 - x1) % p)
+        if sign < 0:
+            x1, x3 = x3, x1
+        v = 3 * x2 * x3 - x1
+        v = v if p is None else v % p
+        return (x3, x2, v) if sign > 0 else (v, x2, x3)
     if i == 3:
-        return (x2, (3 * x2 * x3 - x1) % p, x3)
-    raise ValueError(f"rotation axis must be 1, 2 or 3, got {i}")
-
-
-def rot_inv(x: Triple, i: int, p: int) -> Triple:
-    x1, x2, x3 = x
-    if i == 1:
-        return (x1, (3 * x1 * x2 - x3) % p, x2)
-    if i == 2:
-        return ((3 * x1 * x2 - x3) % p, x2, x1)
-    if i == 3:
-        return ((3 * x1 * x3 - x2) % p, x1, x3)
+        if sign < 0:
+            x1, x2 = x2, x1
+        v = 3 * x2 * x3 - x1
+        v = v if p is None else v % p
+        return (x2, v, x3) if sign > 0 else (v, x2, x3)
     raise ValueError(f"rotation axis must be 1, 2 or 3, got {i}")
 
 
@@ -95,16 +94,12 @@ def lucas_pair(P: int, n: int, p: Optional[int]) -> Tuple[int, int]:
     if n < 0:
         raise ValueError("lucas_pair wants n >= 0")
     a, b = 0, 1  # (u_0, u_1)
-    if p is None:
-        for bit in bin(n)[2:]:
-            a, b = a * (2 * b - P * a), (b - a) * (b + a)
-            if bit == "1":
-                a, b = b, P * b - a
-        return a, b
     for bit in bin(n)[2:]:
-        a, b = a * (2 * b - P * a) % p, (b * b - a * a) % p
+        a, b = a * (2 * b - P * a), (b - a) * (b + a)
         if bit == "1":
-            a, b = b, (P * b - a) % p
+            a, b = b, P * b - a
+        if p is not None:
+            a, b = a % p, b % p
     return a, b
 
 
@@ -222,7 +217,12 @@ def is_maximal(x: Triple, cls: Classifier) -> bool:
 
 
 def check_point(x: Triple, p: int) -> Triple:
-    if not is_valid_point(x, p):
+    """x itself, once it is checked to be nonzero, reduced and on the surface."""
+    if not (
+        all(0 <= c < p for c in x)
+        and any(c != 0 for c in x)
+        and on_surface(x, p)
+    ):
         raise DomainError(f"{x} is not a nonzero surface point mod {p}")
     return x
 

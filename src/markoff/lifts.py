@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from . import field
-from .core import SEED, Triple, rotation_power
+from .core import SEED, Triple, rot, rotation_power
 from .errors import DomainError
 from .words import PathWord
 
@@ -56,17 +56,6 @@ def ln_big(x: int) -> float:
     return math.log(top) + (bits - 53) * LN2
 
 
-def _rot_int(x: Triple, i: int) -> Triple:
-    """rot_i over the integers, for the small-integer walks of the lift search
-    and tree levels: 0.4 us a step against 1.7 us for rotation_power at n = 1."""
-    x1, x2, x3 = x
-    if i == 1:
-        return (x1, x3, 3 * x1 * x3 - x2)
-    if i == 2:
-        return (x3, x2, 3 * x2 * x3 - x1)
-    return (x2, 3 * x2 * x3 - x1, x3)
-
-
 def _ln_product_minus(ln_a: float, ln_b: float, ln_c: float) -> float:
     """ln(3*a*b - c) from ln a, ln b, ln c, for positive result.
 
@@ -81,6 +70,10 @@ def _ln_product_minus(ln_a: float, ln_b: float, ln_c: float) -> float:
 
 
 def _rot_log(l: Tuple[float, float, float], i: int, sign: int) -> Tuple[float, float, float]:
+    """`core.rot` on natural logs.  Each of the six cases is written out, the
+    inverses too, because it fixes the float evaluation order, with the
+    product's factors in axis order; swapping the moved pair around the
+    forward case changes the last bit of some inverse steps."""
     l1, l2, l3 = l
     if sign > 0:
         if i == 1:
@@ -107,15 +100,6 @@ class LiftTriple:
     def log_size(self) -> float:
         return max(self.log_coords)
 
-    @property
-    def size(self) -> Optional[int]:
-        return max(self.coords) if self.exact else None
-
-    def reduce(self, p: int) -> Optional[Triple]:
-        if not self.exact:
-            return None
-        return (self.coords[0] % p, self.coords[1] % p, self.coords[2] % p)
-
 
 def _jump_length(cur: Triple, axis: int, n: int, cap_bits: int) -> int:
     """Steps of rot_axis, at most n, that surely keep cur within cap_bits."""
@@ -128,7 +112,8 @@ def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTr
     """Apply a rotation word to (1, 1, 1), exactly while the coordinates stay
     under digit_cap decimal digits, in log-domain after; the switch-over
     clears the exactness flag.  While exact, a segment first jumps by one
-    integer `rotation_power`, kept if it ends within the cap, then unit-steps."""
+    integer `rotation_power`, kept if it ends within the cap, then unit-steps
+    with `rot`."""
     cap_bits = max(64, int(digit_cap * LN10 / LN2))
     cur: Triple = SEED
     logs: Optional[Tuple[float, float, float]] = None
@@ -141,7 +126,7 @@ def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTr
                 cur, left = nxt, left - k
         for _ in range(left):
             if logs is None:
-                cur = rotation_power(cur, axis, sign, None)
+                cur = rot(cur, axis, None, sign)
                 if max(cur).bit_length() > cap_bits:
                     logs = tuple(ln_big(c) for c in cur)
             else:
@@ -282,7 +267,7 @@ def minimal_lift_search(p: int, target: Triple,
         nxt: List[Triple] = []
         for x in frontier:
             for axis in (1, 2, 3):
-                child = _rot_int(x, axis)
+                child = rot(x, axis, None)
                 if tuple(c % p for c in child) == want:
                     if best is None or max(child) < max(best):
                         best = child
@@ -319,7 +304,7 @@ def tree_level_log_sizes(level: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> List
             if axis == last_axis:
                 continue
             if exact:
-                child = _rot_int(node, axis)
+                child = rot(node, axis, None)
                 if max(child).bit_length() > cap_bits:
                     descend(None, tuple(ln_big(c) for c in child), False, depth + 1, axis)
                 else:

@@ -41,7 +41,6 @@ from .core import (
     maximal_index,
     point_order,
     rot,
-    rot_inv,
     rotation_order,
     rotation_power,
 )
@@ -347,7 +346,7 @@ def orbit_scan(x: Triple, cls: Classifier) -> Iterator[Tuple[int, int, Triple]]:
             yield ax, n, fwd
             if 2 * n == order:
                 break
-            bwd = rot_inv(bwd, ax, p)
+            bwd = rot(bwd, ax, p, -1)
             yield ax, -n, bwd
 
 

@@ -17,6 +17,8 @@ Each CLI digest hashes the stdout of the listed CLI runs, concatenated in order:
     export-csv         export -p 31 --format csv
     criterion-10-path  path -p P --to X for each criterion-10 target
     criterion-10-lift  lift -p P --to X --cap-digits 10000, same targets
+    level-dist         level-dist --level 14, --level 18, then --level 18
+                       --cap-digits 30 (which forces log-domain steps)
 
 The `classes` digest is computed by the library, not by the CLI: it hashes
 one line `p,v,kind,order,maximal` (maximal as 0 or 1) per value v in
@@ -73,6 +75,8 @@ RUNS = {
     "export-csv": lambda: [["export", "-p", "31", "--format", "csv"]],
     "criterion-10-path": lambda: _per_target("path"),
     "criterion-10-lift": lambda: _per_target("lift", "--cap-digits", "10000"),
+    "level-dist": lambda: [["level-dist", "--level", "14"], ["level-dist", "--level", "18"],
+                           ["level-dist", "--level", "18", "--cap-digits", "30"]],
 }
 NAMES = [*RUNS, "classes"]
 
@@ -87,6 +91,7 @@ EXPECTED = {
     "export-csv": "7927ba12a8759eb8ab9df65755c067e85f848dc4fbcf1546fa13909e677efdbd",
     "criterion-10-path": "1e1a807d15aae9b7bc8586175443fe4c32eb95fde4eaf19cdbcd47409c16825a",
     "criterion-10-lift": "93717c39232ee3caccc16830869ffe2fb0952b2f36e995f1425ba2c66d283fac",
+    "level-dist": "6266e8ae112a474b081a5bac9ca960c486bbfc962c913c1d49928d7c420b2fa9",
     "classes": "dcd736cccbf532cc674a6c23b0ae8304f290cb172db3f5350ca8c1e92b54b989",
 }
 

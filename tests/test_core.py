@@ -28,8 +28,8 @@ def test_rot_inverse_roundtrip_everywhere_small():
     for p in (5, 13):
         for x in oracles.surface_points(p):
             for i in (1, 2, 3):
-                assert core.rot_inv(core.rot(x, i, p), i, p) == x
-                assert core.rot(core.rot_inv(x, i, p), i, p) == x
+                assert core.rot(core.rot(x, i, p), i, p, -1) == x
+                assert core.rot(core.rot(x, i, p, -1), i, p) == x
 
 
 def test_rotations_preserve_surface():
@@ -83,14 +83,32 @@ def test_rotation_power_zero_and_one():
     for i in (1, 2, 3):
         assert core.rotation_power(x, i, 0, p) == x
         assert core.rotation_power(x, i, 1, p) == core.rot(x, i, p)
-        assert core.rotation_power(x, i, -1, p) == core.rot_inv(x, i, p)
+        assert core.rotation_power(x, i, -1, p) == core.rot(x, i, p, -1)
+
+
+def test_rot_is_the_unit_rotation_power_mod_p_and_over_the_integers():
+    rng = random.Random(18)
+    for _ in range(200):
+        x = tuple(rng.randrange(-10**40, 10**40) for _ in range(3))
+        for i in (1, 2, 3):
+            for s in (1, -1):
+                assert core.rot(x, i, None, s) == core.rotation_power(x, i, s, None)
+    for p in (5, 13, 2017, 10**6 + 3, 10**9 + 7):
+        for _ in range(50):
+            x = tuple(rng.randrange(p) for _ in range(3))
+            for i in (1, 2, 3):
+                for s in (1, -1):
+                    assert core.rot(x, i, p, s) == core.rotation_power(x, i, s, p)
 
 
 def test_lucas_pair_integer_mode_matches_recurrence():
-    for P in (3, 6, 3 * 10**20):
+    for P in (-7, 3, 6, 3 * 10**20):
         a, b = 0, 1
         for n in range(201):
             assert core.lucas_pair(P, n, None) == (a, b)
+            # the mod-p pair is the integer pair reduced
+            for p in (5, 997, 10**9 + 7):
+                assert core.lucas_pair(P, n, p) == (a % p, b % p)
             a, b = b, P * b - a
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from markoff import field, graph
-from markoff.core import Classifier, is_maximal, rot, rot_inv
+from markoff.core import Classifier, is_maximal, rot
 from markoff.errors import CapExceeded, ConstructionError, DomainError
 from markoff.graph import SurfaceGraph, bfs, components, shortest_path, word_to
 
@@ -110,8 +110,19 @@ def test_adjacency_matches_rotations():
             vid = rng.randrange(len(g))
             x = g.point_of(vid)
             for col, (axis, sign) in enumerate(graph.COLUMN_MOVES):
-                y = rot(x, axis, p) if sign > 0 else rot_inv(x, axis, p)
-                assert g.point_of(int(g.adj[vid, col])) == y
+                assert g.point_of(int(g.adj[vid, col])) == rot(x, axis, p, sign)
+
+
+def test_rot_on_int64_columns_matches_scalar_rows():
+    rng = random.Random(64)
+    for p in (31, 2017, 10**9 + 7):
+        rows = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(200)]
+        cols = tuple(np.array(rows, dtype=np.int64).T)
+        for axis in (1, 2, 3):
+            for sign in (1, -1):
+                got = np.stack(rot(cols, axis, p, sign), axis=1)
+                assert got.dtype == np.int64
+                assert [tuple(map(int, r)) for r in got] == [rot(x, axis, p, sign) for x in rows]
 
 
 def test_adjacency_is_symmetric_as_multigraph():
