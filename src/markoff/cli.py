@@ -176,7 +176,7 @@ def _path_word(p, target, method: str, cap_enum: int):
     if method == "bfs":
         g = SurfaceGraph.build(p, cap=cap_enum)
         return shortest_path(g, SEED, target)
-    return construct_path(p, target).word
+    return construct_path(p, target, cap_enum=cap_enum).word
 
 
 def cmd_path(args) -> int:
@@ -194,7 +194,8 @@ def cmd_lift(args) -> int:
         sys.set_int_max_str_digits(max(args.cap_digits + 10, 4300))
         lines.append(f"lift: {lift.coords[0]},{lift.coords[1]},{lift.coords[2]}")
     else:
-        lines.append(f"lift: log10_size={lift.log_size / lifts.LN10:.6f}")
+        size = lift.log_size / lifts.LN10
+        lines.append(f"lift: log10_size={size:.6f}" if size < 1e10 else f"lift: log10_size={size:.16g}")
     _emit(lines, args.out)
     return 0
 

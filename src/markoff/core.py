@@ -104,13 +104,17 @@ def lucas_pair(P: int, n: int, p: Optional[int]) -> Tuple[int, int]:
 
 
 def rotation_power(x: Triple, i: int, n: int, p: Optional[int]) -> Triple:
-    """rot_i^n(x) in O(log |n|) multiplications; over the integers when p is None."""
+    """rot_i^n(x) in O(log |n|) multiplications; over the integers when p is
+    None.  It forms u_{|n|+1} = P*u_{|n|} - u_{|n|-1}, which cancels at most
+    a bit, so it also runs on the interval brackets of `lifts`."""
+    if n == 0:
+        return x
     ja, jb = _MOVED[i]
     a, b = x[ja], x[jb]
     P = 3 * x[i - 1] if p is None else 3 * x[i - 1] % p
-    u_m, u_m1 = lucas_pair(P, abs(n), p)
-    u_mm1 = P * u_m - u_m1
-    if n >= 0:
+    u_mm1, u_m = lucas_pair(P, abs(n) - 1, p)
+    u_m1 = P * u_m - u_mm1
+    if n > 0:
         na, nb = u_m * b - u_mm1 * a, u_m1 * b - u_m * a
     else:
         na, nb = u_m1 * a - u_m * b, u_m * a - u_mm1 * b

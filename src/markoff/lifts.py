@@ -11,7 +11,9 @@ well defined once the exact integers outgrow the digit cap.
 Along a segment rot_i^n the moved pair obeys y_{j+1} = P*y_j - y_{j-1} with
 P = 3*x_i and every y_j > 0.  So y_{j+1} < lambda*y_j (lambda + 1/lambda = P),
 and the second difference (P - 2)*y_j > 0 makes the sequence convex: a jump
-that ends within the digit cap skipped no state past it.
+that ends within the digit cap skipped no state past it.  So the switch-over
+state, the first unit-step state past the cap, is the same for any jump
+lengths, which lets `replay_integer` find it on 320-bit `Bracket`s.
 
 Sizes obey one growth law and a family of evaluated exponents built on it:
 a reduced word with s segments of exponents n_1..n_s satisfies
@@ -43,17 +45,72 @@ LN10 = math.log(10)
 DEFAULT_DIGIT_CAP = 10 ** 6
 DEFAULT_LIFT_DEPTH = 25
 REL_GUARD = 1e-9
+BRACKET_BITS = 320
 
 
 def ln_big(x: int) -> float:
-    """Natural log of a positive integer of any length."""
-    if x <= 0:
-        raise DomainError("ln_big wants a positive integer")
+    """Natural log of a positive integer of any length, from its bit length
+    and top 53 bits; a `Bracket` raises `Undecided` unless both are decided."""
     bits = x.bit_length()
-    if bits <= 53:
-        return math.log(x)
-    top = x >> (bits - 53)
-    return math.log(top) + (bits - 53) * LN2
+    top = x >> max(0, bits - 53)
+    if top <= 0:
+        raise DomainError("ln_big wants a positive integer")
+    return math.log(top) + max(0, bits - 53) * LN2
+
+
+class Undecided(ArithmeticError):
+    """A bracket too wide for the question asked of it."""
+
+
+class Bracket:
+    """A nonnegative integer v known as lo*2^e <= v <= hi*2^e, with hi kept
+    under BRACKET_BITS bits by rounding lo down and hi up, so exact while v
+    fits.  It raises `Undecided` when its lower bound is not positive, unless
+    it is exactly 0 (a cancellation can leave the sign open), and when
+    `bit_length` or a right shift has more than one answer."""
+
+    def __init__(self, lo: int, hi: int, e: int = 0):
+        s = max(0, hi.bit_length() - BRACKET_BITS)
+        lo, hi = lo >> s, -(-hi >> s)
+        if lo < 0 or lo == 0 < hi:
+            raise Undecided("bracket lower bound is not positive")
+        self.lo, self.hi, self.e = lo, hi, e + s if hi else 0
+
+    def _aligned(self, other):
+        """(lo, hi, other's lo, other's hi, e), rounded outward to the larger exponent e."""
+        other = other if isinstance(other, Bracket) else Bracket(other, other)
+        e = max(self.e, other.e)
+        d, f = e - self.e, e - other.e
+        return self.lo >> d, -(-self.hi >> d), other.lo >> f, -(-other.hi >> f), e
+
+    def __add__(self, other):
+        lo, hi, olo, ohi, e = self._aligned(other)
+        return Bracket(lo + olo, hi + ohi, e)
+
+    def __sub__(self, other):
+        lo, hi, olo, ohi, e = self._aligned(other)
+        return Bracket(lo - ohi, hi - olo, e)
+
+    def __rsub__(self, other):
+        return Bracket(other, other) - self
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Bracket) else Bracket(other, other)
+        return Bracket(self.lo * other.lo, self.hi * other.hi, self.e + other.e)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def bit_length(self) -> int:
+        if self.lo.bit_length() != self.hi.bit_length():
+            raise Undecided("bracket bit length")
+        return self.lo.bit_length() + self.e
+
+    def __rshift__(self, s: int) -> int:
+        d = s - self.e
+        lo, hi = (self.lo >> d, self.hi >> d) if d >= 0 else (self.lo << -d, self.hi << -d)
+        if lo != hi:
+            raise Undecided("bracket leading bits")
+        return lo
 
 
 def _ln_product_minus(ln_a: float, ln_b: float, ln_c: float) -> float:
@@ -102,35 +159,54 @@ class LiftTriple:
 
 
 def _jump_length(cur: Triple, axis: int, n: int, cap_bits: int) -> int:
-    """Steps of rot_axis, at most n, that surely keep cur within cap_bits."""
-    P = 3 * cur[axis - 1]
-    ln_lam = math.log((P + math.sqrt(P * P - 4)) / 2) if P.bit_length() <= 64 else ln_big(P)
-    return max(0, min(n, int((cap_bits * LN2 - ln_big(max(cur))) / ln_lam) - 2))
+    """Steps of rot_axis, at most n, that surely keep cur within cap_bits:
+    the moved pair grows by at most lambda = (P + sqrt(P^2 - 4))/2 a step."""
+    ln_p = ln_big(3 * cur[axis - 1])
+    ln_lam = ln_p + math.log((1 + math.sqrt(1 - 4 * math.exp(-2 * ln_p))) / 2)
+    return max(0, min(n, int((cap_bits * LN2 - max(map(ln_big, cur))) / ln_lam) - 2))
 
 
-def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTriple:
-    """Apply a rotation word to (1, 1, 1), exactly while the coordinates stay
-    under digit_cap decimal digits, in log-domain after; the switch-over
-    clears the exactness flag.  While exact, a segment first jumps by one
-    integer `rotation_power`, kept if it ends within the cap, then unit-steps
-    with `rot`."""
-    cap_bits = max(64, int(digit_cap * LN10 / LN2))
-    cur: Triple = SEED
-    logs: Optional[Tuple[float, float, float]] = None
+def _replay(word: PathWord, cap_bits: int, cur: Triple):
+    """(end triple, None) for a word that ends within cap_bits, else
+    (switch-over triple, logs at the end).  A segment first jumps by one
+    `rotation_power`, kept if it ends within the cap, then unit-steps with
+    `rot` to the switch-over and with `_rot_log` past it."""
+    logs = None
     for axis, n in word.steps:
         sign, left = (1 if n > 0 else -1), abs(n)
         if logs is None:
             k = _jump_length(cur, axis, left, cap_bits)
             nxt = rotation_power(cur, axis, sign * k, None)
-            if max(nxt).bit_length() <= cap_bits:
+            if max(c.bit_length() for c in nxt) <= cap_bits:
                 cur, left = nxt, left - k
         for _ in range(left):
             if logs is None:
                 cur = rot(cur, axis, None, sign)
-                if max(cur).bit_length() > cap_bits:
+                if max(c.bit_length() for c in cur) > cap_bits:
                     logs = tuple(ln_big(c) for c in cur)
             else:
                 logs = _rot_log(logs, axis, sign)
+    return cur, logs
+
+
+def replay_integer(word: PathWord, digit_cap: int = DEFAULT_DIGIT_CAP) -> LiftTriple:
+    """Apply a rotation word to (1, 1, 1), exactly while the coordinates stay
+    under digit_cap decimal digits, in log-domain after; the switch-over
+    clears the exactness flag.
+
+    The word is first replayed on `Bracket`s.  Natural logs read only a bit
+    length and the top 53 bits, and the switch-over state does not depend on
+    jump lengths (above); so when the brackets decide every bit length the
+    replay compares and the switch state's top 53 bits, the logs are the
+    exact replay's.  The exact replay runs only when the word ends under the
+    cap or a bracket is `Undecided` (as on some descending segments)."""
+    cap_bits = max(64, int(digit_cap * LN10 / LN2))
+    try:
+        cur, logs = _replay(word, cap_bits, (Bracket(1, 1),) * 3)
+    except Undecided:
+        logs = None
+    if logs is None:
+        cur, logs = _replay(word, cap_bits, SEED)
     if logs is None:
         return LiftTriple(cur, tuple(ln_big(c) for c in cur), True)
     return LiftTriple(None, logs, False)

@@ -411,12 +411,13 @@ def _constructive_stages(x: Triple, cls: Classifier) -> List[Stage]:
     return cage_route(w, cls) + out
 
 
-def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None) -> CagePath:
+def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None,
+                   cap_enum: Optional[int] = None) -> CagePath:
     """Rotation word taking (1,1,1) to the target mod p, with its stage trace.
 
-    Constructive failures fall back to a BFS shortest path (used_fallback then
-    reports True); the produced word is always replayed against the target
-    before returning."""
+    Constructive failures fall back to a BFS shortest path over the graph
+    enumerated under cap_enum (used_fallback then reports True); the produced
+    word is always replayed against the target before returning."""
     if cls is None:
         cls = Classifier(p)
     x = check_point(tuple(c % p for c in target), p)
@@ -427,7 +428,7 @@ def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None) -> 
     try:
         stages = _constructive_stages(x, cls)
     except ConstructionError:
-        stages = [_bfs_fallback_stage(p, x)]
+        stages = [_bfs_fallback_stage(p, x, cap_enum)]
         used_fallback = True
 
     word = PathWord.from_steps(s for stage in stages for s in stage.steps)
@@ -436,8 +437,9 @@ def construct_path(p: int, target: Triple, cls: Optional[Classifier] = None) -> 
     return CagePath(p, x, word, tuple(stages), used_fallback)
 
 
-def _bfs_fallback_stage(p: int, target: Triple) -> Stage:
-    from .graph import SurfaceGraph, shortest_path
+def _bfs_fallback_stage(p: int, target: Triple, cap_enum: Optional[int] = None) -> Stage:
+    from .graph import DEFAULT_ENUM_CAP, SurfaceGraph, shortest_path
 
-    word = shortest_path(SurfaceGraph.build(p), SEED, target)
+    g = SurfaceGraph.build(p, DEFAULT_ENUM_CAP if cap_enum is None else cap_enum)
+    word = shortest_path(g, SEED, target)
     return Stage(BFS_FALLBACK, word.steps, target)

@@ -19,6 +19,9 @@ Each CLI digest hashes the stdout of the listed CLI runs, concatenated in order:
     criterion-10-lift  lift -p P --to X --cap-digits 10000, same targets
     level-dist         level-dist --level 14, --level 18, then --level 18
                        --cap-digits 30 (which forces log-domain steps)
+    lift-2017          lift -p 2017 --to T --cap-digits 50000 for each of the
+                       20 p = 2017 targets T in tests/golden/route_words.txt
+                       (the lift-batch traffic of the benchmark)
 
 The `classes` digest is computed by the library, not by the CLI: it hashes
 one line `p,v,kind,order,maximal` (maximal as 0 or 1) per value v in
@@ -60,6 +63,13 @@ def criterion_10_targets():
             yield p, (rng.choice(small) if small else _random_point(rng, p))
 
 
+def _golden_2017_lifts():
+    lines = (Path(__file__).parent / "golden" / "route_words.txt").read_text().splitlines()
+    for p, x, _ in (ln.split() for ln in lines if ln.strip()):
+        if p == "2017":
+            yield ["lift", "-p", p, "--to", x, "--cap-digits", "50000"]
+
+
 def _per_target(command, *extra):
     for p, x in criterion_10_targets():
         yield [command, "-p", str(p), "--to", ",".join(map(str, x)), *extra]
@@ -77,6 +87,7 @@ RUNS = {
     "criterion-10-lift": lambda: _per_target("lift", "--cap-digits", "10000"),
     "level-dist": lambda: [["level-dist", "--level", "14"], ["level-dist", "--level", "18"],
                            ["level-dist", "--level", "18", "--cap-digits", "30"]],
+    "lift-2017": lambda: list(_golden_2017_lifts()),
 }
 NAMES = [*RUNS, "classes"]
 
@@ -92,6 +103,7 @@ EXPECTED = {
     "criterion-10-path": "1e1a807d15aae9b7bc8586175443fe4c32eb95fde4eaf19cdbcd47409c16825a",
     "criterion-10-lift": "93717c39232ee3caccc16830869ffe2fb0952b2f36e995f1425ba2c66d283fac",
     "level-dist": "6266e8ae112a474b081a5bac9ca960c486bbfc962c913c1d49928d7c420b2fa9",
+    "lift-2017": "ccad7b067c779716ee731a5d410dda5f55321d5bcf4736b99e87c0325831fe95",
     "classes": "dcd736cccbf532cc674a6c23b0ae8304f290cb172db3f5350ca8c1e92b54b989",
 }
 

@@ -184,11 +184,39 @@ def test_exit_code_domain_errors(capsys):
     assert code == 2 and out == ""
 
 
+def test_lift_log_size_keeps_at_most_16_significant_digits(capsys, monkeypatch):
+    # doubles near 3.5e16 are 4 apart, so fixed-point digits there are noise
+    ln_size = 3.5e16 * lifts.LN10
+    monkeypatch.setattr(cli.lifts, "replay_integer",
+                        lambda word, digit_cap: lifts.LiftTriple(None, (0.0, 1.0, ln_size), False))
+    code, out, _ = run_cli(capsys, "lift", "-p", "29", "--to", "1,2,5")
+    assert code == 0
+    value = out.splitlines()[1].removeprefix("lift: log10_size=")
+    assert math.isclose(float(value), ln_size / lifts.LN10, rel_tol=1e-15)
+    assert len(value.split("e")[0].replace(".", "").lstrip("0")) <= 16
+
+
 def test_exit_code_cap_refusals(capsys):
     code, _, err = run_cli(capsys, "path", "-p", "131", "--to", "1,1,2",
                            "--method", "bfs", "--cap-enum", "100")
     assert code == 3 and "cap" in err
     assert run_cli(capsys, "bounds", "-p", "251", "--cap-spectral", "200")[0] == 3
+
+
+def test_route_fallback_honours_cap_enum(capsys, monkeypatch):
+    # force the constructive route to fail, so that the BFS fallback answers
+    from markoff import paths
+    from markoff.errors import ConstructionError
+
+    def refuse(x, cls):
+        raise ConstructionError("forced")
+
+    monkeypatch.setattr(paths, "_constructive_stages", refuse)
+    code, out, err = run_cli(capsys, "path", "-p", "101", "--to", "1,2,5", "--cap-enum", "100")
+    assert code == 3 and out == "" and "cap 100 " in err
+    code, out, _ = run_cli(capsys, "path", "-p", "101", "--to", "1,2,5", "--cap-enum", "200")
+    assert code == 0
+    assert oracles.replay_mod(PathWord.parse(out.strip()).steps, 101) == (1, 2, 5)
 
 
 def test_connectivity_refuses_past_int32_vertex_ids(capsys, monkeypatch):

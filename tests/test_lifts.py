@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -123,13 +124,14 @@ def test_segment_replay_matches_stepwise_oracle():
 
 def test_segment_jump_past_the_cap_falls_back_to_unit_steps(monkeypatch):
     # with the step estimate forced to the whole segment, jumps overshoot the
-    # cap; replay must discard them and find the switch-over by unit steps
+    # cap; replay must discard them and find the switch-over by unit steps.
+    # The spy counts the jumps of both passes, on brackets and on integers.
     calls = []
     real_power = lifts.rotation_power
 
     def spy(x, i, n, p):
         y = real_power(x, i, n, p)
-        calls.append((abs(n), max(y).bit_length()))
+        calls.append((abs(n), max(c.bit_length() for c in y)))
         return y
 
     monkeypatch.setattr(lifts, "_jump_length", lambda cur, axis, n, cap_bits: n)
@@ -142,6 +144,111 @@ def test_segment_jump_past_the_cap_falls_back_to_unit_steps(monkeypatch):
         cap_bits = max(64, int(cap * lifts.LN10 / lifts.LN2))
         overshoots += sum(n > 1 and bits > cap_bits for n, bits in calls)
     assert overshoots > 100
+
+
+def _inside(bracket, v):
+    return bracket.lo << bracket.e <= v <= bracket.hi << bracket.e
+
+
+def test_bracket_arithmetic_contains_the_exact_result(monkeypatch):
+    # at a narrow width nearly every result is rounded; each must still hold
+    # its exact value, and what it decides must be the exact value's answer
+    monkeypatch.setattr(lifts, "BRACKET_BITS", 64)
+    rng = random.Random(64)
+    for _ in range(500):
+        n = rng.randint(1, 300)
+        lo = rng.getrandbits(n) | 1 << (n - 1)
+        hi, e = lo + rng.getrandbits(rng.randint(0, n - 1)), rng.randint(0, 50)
+        b = lifts.Bracket(lo, hi, e)
+        assert _inside(b, lo << e) and _inside(b, hi << e) and b.hi.bit_length() <= 65
+    pool = [(lifts.Bracket(v, v), v) for v in (1, 3, 2**64 - 1, 2**64, 3**300)]
+    decided = 0
+    for _ in range(3000):
+        (a, x), (b, y) = rng.choice(pool), rng.choice(pool)
+        k = rng.randint(0, 10**6)
+        ops = [(lambda: a + b, x + y), (lambda: a - b, x - y), (lambda: a * b, x * y),
+               (lambda: k + a, k + x), (lambda: a - k, x - k), (lambda: k - a, k - x),
+               (lambda: k * a, k * x)]
+        make, want = rng.choice(ops)
+        try:
+            got = make()
+        except lifts.Undecided:
+            continue
+        assert want >= 0 and _inside(got, want)
+        try:
+            assert got.bit_length() == want.bit_length()
+            if want:
+                assert lifts.ln_big(got) == lifts.ln_big(want)
+            decided += 1
+        except lifts.Undecided:
+            pass
+        if want.bit_length() < 4000:
+            pool.append((got, want))
+    assert decided > 1000
+
+
+def test_bracket_raises_where_its_answer_is_not_unique(monkeypatch):
+    monkeypatch.setattr(lifts, "BRACKET_BITS", 64)
+    straddle = lifts.Bracket(2**70 - 5, 2**70 + 5)  # rounds to 2^63 - 1 .. 2^63 + 1, e = 7
+    for ask in (straddle.bit_length, lambda: straddle >> 60, lambda: lifts.ln_big(straddle),
+                lambda: straddle - 2**70):
+        with pytest.raises(lifts.Undecided):
+            ask()
+    above = lifts.Bracket(2**70 + 2**9, 2**70 + 2**10)
+    assert above.bit_length() == 71 and above >> 60 == 2**10
+    assert (lifts.Bracket(7, 7) - 7).bit_length() == 0
+
+
+def test_segment_replay_at_a_narrow_bracket_width(monkeypatch):
+    # at 64 bits many bracket passes are undecided and fall back to the exact
+    # pass; the ones that decide must still give the stepwise oracle's fields
+    monkeypatch.setattr(lifts, "BRACKET_BITS", 64)
+    passes = {"decided": 0, "undecided": 0}
+    real_replay = lifts._replay
+
+    def spy(word, cap_bits, cur):
+        if not isinstance(cur[0], lifts.Bracket):
+            return real_replay(word, cap_bits, cur)
+        try:
+            out = real_replay(word, cap_bits, cur)
+        except lifts.Undecided:
+            passes["undecided"] += 1
+            raise
+        passes["decided"] += out[1] is not None
+        return out
+
+    monkeypatch.setattr(lifts, "_replay", spy)
+    test_segment_replay_matches_stepwise_oracle()
+    assert passes["decided"] > 100 and passes["undecided"] > 100, passes
+
+
+def test_bracket_pass_matches_the_exact_pass_on_p2017_routes(monkeypatch):
+    from test_acceptance import _random_point
+
+    p, cap, rng = 2017, 5 * 10**4, random.Random(2017)
+    cls = core.Classifier(p)
+    words = [paths.construct_path(p, _random_point(rng, p), cls=cls).word for _ in range(300)]
+    got = [_replay_fields(w, cap) for w in words]
+    assert sum(not exact for _, _, exact in got) > 200
+
+    def undecided(*args):
+        raise lifts.Undecided("forced")
+
+    monkeypatch.setattr(lifts, "Bracket", undecided)
+    assert [_replay_fields(w, cap) for w in words] == got
+
+
+def test_crossing_golden_words_replay_without_cap_sized_integers():
+    # the p = 2017 route words that pass the default cap used to pay 0.4-0.7 s
+    # each to build the exact triple at the switch-over
+    crossing = 0
+    for word in (w for p, w in _golden_words() if p == 2017):
+        t0 = time.perf_counter()
+        lift = lifts.replay_integer(word)
+        if not lift.exact:
+            crossing += 1
+            assert time.perf_counter() - t0 < 0.05, str(word)
+    assert crossing >= 5
 
 
 def test_ln_big():
